@@ -24,6 +24,16 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use crate::protocol::{ErrorBody, StatusBody, StepBody, StepResponse};
+use crate::xorshift64;
+
+/// Cap on a response body [`read_response`] accepts.
+///
+/// Responses have their own cap because `/status` outgrows the server's
+/// request cap ([`crate::http::MAX_BODY_BYTES`]): it carries one entry of
+/// about 130 bytes per breaker, so the paper's 900-PDU facility renders
+/// about 115 KB. 16 MiB admits facilities beyond 100,000 PDUs while still
+/// refusing a runaway `Content-Length` before allocating for it.
+pub const MAX_RESPONSE_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// Retry/deadline policy for a [`RetryClient`].
 #[derive(Debug, Clone)]
@@ -153,15 +163,6 @@ enum Attempt {
 fn parse_json<T: serde::Deserialize>(payload: &[u8]) -> Result<T, String> {
     let text = std::str::from_utf8(payload).map_err(|e| format!("non-UTF-8 body: {e}"))?;
     serde_json::from_str(text).map_err(|e| e.to_string())
-}
-
-fn xorshift64(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
 }
 
 impl RetryClient {
@@ -511,9 +512,21 @@ fn rejected(status: u16, payload: &[u8]) -> ClientError {
 }
 
 /// Reads one HTTP/1.1 response (status line, headers, content-length
-/// body) under `deadline`. Any malformed or torn frame is a transport
-/// error — the caller reconnects and (idempotently) retries.
-fn read_response(
+/// body) under `deadline`; returns `(status, body, connection_close)`.
+///
+/// This is the one response reader in the service crate: [`RetryClient`]
+/// and the integration tests both use it. Any malformed or torn frame,
+/// a header line over [`crate::http::MAX_HEAD_BYTES`], or a body over
+/// [`MAX_RESPONSE_BODY_BYTES`] is an `Err` describing the fault — a
+/// [`RetryClient`] treats it as a transport failure, reconnects and
+/// (idempotently) retries. The deadline is checked between reads, so
+/// `reader`'s socket should carry a read timeout no longer than it.
+///
+/// # Errors
+///
+/// Returns a human-readable description of the first framing, size,
+/// deadline or I/O fault.
+pub fn read_response(
     reader: &mut BufReader<TcpStream>,
     deadline: Duration,
 ) -> Result<(u16, Vec<u8>, bool), String> {
@@ -548,7 +561,7 @@ fn read_response(
             content_length = value
                 .parse()
                 .map_err(|_| format!("bad content-length {value:?}"))?;
-            if content_length > crate::http::MAX_BODY_BYTES {
+            if content_length > MAX_RESPONSE_BODY_BYTES {
                 return Err(format!("response body too large ({content_length})"));
             }
         } else if name == "connection" && value.eq_ignore_ascii_case("close") {

@@ -43,7 +43,7 @@ mod pool;
 mod protocol;
 mod service;
 
-pub use client::{ClientError, RetryClient, RetryConfig};
+pub use client::{read_response, ClientError, RetryClient, RetryConfig};
 pub use config::{
     ServiceConfig, DEFAULT_ACCEPT_QUEUE, DEFAULT_CHECKPOINT_EVERY, DEFAULT_DEADLINE_MS,
     DEFAULT_DRAIN_DEADLINE_MS, DEFAULT_QUEUE_DEPTH, DEFAULT_READ_BUDGET_MS, DEFAULT_REPLAY_CACHE,
@@ -61,3 +61,15 @@ pub use protocol::{
     StepResponse, TesStatus, UpsStatus, STATUS_SCHEMA,
 };
 pub use service::{ServiceOptions, SprintService};
+
+/// One step of Marsaglia's xorshift64 generator: advances `state` and
+/// returns it. Seeds the client's backoff jitter and the chaos proxy's
+/// fault plans deterministically; `state` must start non-zero.
+pub(crate) fn xorshift64(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x
+}

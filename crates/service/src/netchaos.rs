@@ -32,6 +32,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::xorshift64;
+
 /// How often a blocked proxy read wakes to poll the stop flag.
 const TICK: Duration = Duration::from_millis(50);
 /// Hard cap on an injected stall, so chaos never becomes a hang.
@@ -115,15 +117,6 @@ pub struct ChaosProxy {
     acceptor: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     stats: Arc<ProxyStats>,
-}
-
-fn xorshift64(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
 }
 
 impl ChaosProxy {

@@ -1,11 +1,14 @@
 //! Shared helpers for the service integration tests: a minimal HTTP/1.1
-//! client over `std::net` and temp-dir plumbing.
+//! client over `std::net` (responses are read with the crate's own
+//! [`read_response`]) and temp-dir plumbing.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+use dcs_service::read_response;
 
 /// A unique scratch directory per call; callers clean up on success.
 /// Not every test binary uses it.
@@ -16,48 +19,43 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dcs-service-{}-{}-{}", tag, std::process::id(), n))
 }
 
-/// One `connection: close` exchange; returns `(status, body)`.
-pub fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
+/// How long a test waits on any one response.
+const RESPONSE_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Reads one response with the crate's own reader; returns
+/// `(status, body)`.
+fn read(reader: &mut BufReader<TcpStream>) -> (u16, String) {
+    let (status, body, _) = read_response(reader, RESPONSE_DEADLINE).expect("response");
+    (status, String::from_utf8(body).expect("utf8 body"))
+}
+
+/// Opens a loopback connection with the tests' read deadline.
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
+        .set_read_timeout(Some(RESPONSE_DEADLINE))
         .expect("read timeout");
+    stream
+}
+
+/// One `connection: close` exchange; returns `(status, body)`. Not every
+/// test binary uses it.
+#[allow(dead_code)]
+pub fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
+    let mut stream = connect(addr);
     let body = body.unwrap_or("");
     let message = format!(
         "{method} {path} HTTP/1.1\r\nhost: localhost\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
         body.len()
     );
     stream.write_all(message.as_bytes()).expect("write request");
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("status line");
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let mut content_length = 0_usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).expect("header");
-        let trimmed = header.trim_end();
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().expect("content-length");
-            }
-        }
-    }
-    let mut buf = vec![0_u8; content_length];
-    reader.read_exact(&mut buf).expect("body");
-    (status, String::from_utf8(buf).expect("utf8 body"))
+    read(&mut BufReader::new(stream))
 }
 
-/// `POST /step` with the given demand; returns `(status, body)`.
+/// `POST /step` with the given demand; returns `(status, body)`. Not
+/// every test binary uses it.
+#[allow(dead_code)]
 pub fn step(addr: SocketAddr, demand: f64) -> (u16, String) {
     request(
         addr,
@@ -77,11 +75,7 @@ pub struct KeepAlive {
 #[allow(dead_code)]
 impl KeepAlive {
     pub fn connect(addr: SocketAddr) -> KeepAlive {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("read timeout");
+        let stream = connect(addr);
         let reader = BufReader::new(stream.try_clone().expect("clone"));
         KeepAlive {
             writer: stream,
@@ -99,31 +93,7 @@ impl KeepAlive {
         self.writer
             .write_all(message.as_bytes())
             .expect("write request");
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("status line");
-        let status: u16 = line
-            .split_whitespace()
-            .nth(1)
-            .expect("status code")
-            .parse()
-            .expect("numeric status");
-        let mut content_length = 0_usize;
-        loop {
-            let mut header = String::new();
-            self.reader.read_line(&mut header).expect("header");
-            let trimmed = header.trim_end();
-            if trimmed.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = trimmed.split_once(':') {
-                if name.trim().eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().expect("content-length");
-                }
-            }
-        }
-        let mut buf = vec![0_u8; content_length];
-        self.reader.read_exact(&mut buf).expect("body");
-        (status, String::from_utf8(buf).expect("utf8 body"))
+        read(&mut self.reader)
     }
 
     pub fn get(&mut self, path: &str) -> (u16, String) {

@@ -10,8 +10,8 @@ use std::time::Duration;
 use common::{request, scratch_dir, step, KeepAlive};
 use dcs_faults::{ChaosEvent, ChaosKind, ChaosSchedule};
 use dcs_service::{
-    ErrorBody, HealthBody, ReloadResponse, ServiceConfig, ServiceOptions, SprintService,
-    StatusBody, StepResponse, STATUS_SCHEMA,
+    ErrorBody, HealthBody, ReloadResponse, RetryClient, ServiceConfig, ServiceOptions,
+    SprintService, StatusBody, StepResponse, STATUS_SCHEMA,
 };
 
 fn small_config() -> ServiceConfig {
@@ -63,6 +63,36 @@ fn serves_steps_and_status() {
     let health: HealthBody = parse(&body);
     assert_eq!(health.status, "serving");
 
+    service.shutdown();
+}
+
+/// The paper's facility (900 PDUs × 200 servers) renders a `/status`
+/// larger than the server's request-body cap, and a [`RetryClient`] must
+/// still read it: `step()` starts by learning the decision index from
+/// `/status`.
+#[test]
+fn retry_client_drives_the_paper_facility() {
+    let service = spawn(
+        ServiceConfig::for_facility(900, 200),
+        ServiceOptions::default(),
+    );
+    let mut client = RetryClient::new(service.addr());
+    let response = client.step(2.6).expect("step on the paper facility");
+    assert_eq!(response.decision_index, Some(0));
+
+    // The engine publishes the full per-breaker status before it answers
+    // a step, so from here on `/status` is at its full size.
+    let (status, body) = request(service.addr(), "GET", "/status", None);
+    assert_eq!(status, 200);
+    assert!(
+        body.len() > dcs_service::http::MAX_BODY_BYTES,
+        "/status is only {} bytes, so this test no longer exercises the \
+         response cap",
+        body.len()
+    );
+    let status = client.status().expect("status on the paper facility");
+    assert_eq!(status.decisions, 1);
+    assert_eq!(status.facility.breakers.len(), 901, "dc + 900 pdus");
     service.shutdown();
 }
 

@@ -32,10 +32,11 @@
 //!
 //! All three preserve bit-identical [`SimSummary`] output versus N
 //! independent `run_with_options` calls — including under random
-//! [`FaultSchedule`]s — which the equivalence property suite and
-//! `perf_report` enforce. The runner is specific to constant-bound lanes:
-//! stateful strategies would observe the shared prefix differently and are
-//! rejected by construction (only `FixedBound` lanes are ever built here).
+//! [`FaultSchedule`]s — which the equivalence property suite and the
+//! benchmark's per-run correctness gates enforce. The runner is specific
+//! to constant-bound lanes: stateful strategies would observe the shared
+//! prefix differently and are rejected by construction (only `FixedBound`
+//! lanes are ever built here).
 
 use crate::error::SimError;
 use crate::scenario::{Scenario, SimSummary};

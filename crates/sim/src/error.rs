@@ -3,10 +3,11 @@
 //! [`SimError`] classifies every way a sim-layer computation can fail into
 //! five coarse classes — configuration, I/O, physics, harness, and the
 //! live service — each with its own process exit code, so the
-//! `simulate`/`perf_report`/`sprintd` binaries can report *what kind* of
-//! thing went wrong without parsing message strings. The physics variants wrap the layer-local error enums
-//! (`UnitError`, `BreakerError`, `TraceError`, `TableError`) rather than
-//! flattening them, so no information is lost crossing the sim boundary.
+//! `simulate` and `sprintd` binaries can report *what kind* of thing went
+//! wrong without parsing message strings. The physics variants wrap the
+//! layer-local error enums (`UnitError`, `BreakerError`, `TraceError`,
+//! `TableError`) rather than flattening them, so no information is lost
+//! crossing the sim boundary.
 
 use dcs_breaker::BreakerError;
 use dcs_core::TableError;

@@ -294,9 +294,9 @@ pub fn oracle_search_resumable(
 }
 
 /// The pre-batching reference implementation: every evaluation is an
-/// independent run. Kept (and exercised by `perf_report` and the
-/// equivalence suite) as the ground truth the batched search must match
-/// bit-for-bit.
+/// independent run. Kept (and exercised by the unit tests, the hyperscale
+/// equivalence test and the benchmark's correctness gates) as the ground
+/// truth the batched search must match bit-for-bit.
 ///
 /// # Panics
 ///

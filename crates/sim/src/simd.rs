@@ -25,13 +25,8 @@
 //! * Elapsed time accumulates one `+= dt` per step, never the shortcut
 //!   `+= n·dt`, which would round differently.
 //!
-//! The one place the module *does* reassociate is [`sum_nonneg`] /
-//! [`F64x4::horizontal_sum`], used only for diagnostics (hyperscale
-//! roll-ups in `perf_report`), never for summary state. For non-negative
-//! inputs the pairwise tree stays within an ULP distance of the
-//! sequential sum that grows linearly with the input length ([`ulp_diff`]
-//! lets tests pin the bound); with mixed signs, cancellation voids any
-//! ULP bound, so callers must not feed it signed data.
+//! Nothing in the module reassociates a sum, so no ULP tolerance is ever
+//! needed: every per-lane result is compared with `==`.
 
 use dcs_units::Seconds;
 
@@ -57,15 +52,6 @@ impl F64x4 {
     #[must_use]
     pub const fn splat(x: f64) -> F64x4 {
         F64x4([x; 4])
-    }
-
-    /// Pairwise (tree) sum of the four lanes: `(l0+l1) + (l2+l3)`.
-    ///
-    /// Reassociated relative to a left-to-right sum — diagnostics only,
-    /// see the module docs.
-    #[must_use]
-    pub fn horizontal_sum(self) -> f64 {
-        (self.0[0] + self.0[1]) + (self.0[2] + self.0[3])
     }
 }
 
@@ -155,51 +141,6 @@ pub fn fold_span_group(
         invalid += inv;
     }
     invalid
-}
-
-/// Sums a slice of **non-negative** values with four interleaved
-/// accumulators (a vectorizable chunked reduction), then a pairwise
-/// horizontal sum.
-///
-/// Reassociated relative to a sequential sum; for non-negative inputs of
-/// length `n` both orderings carry a worst-case rounding error linear in
-/// `n`, so their ULP distance is bounded linearly in `n` (the unit tests
-/// pin ≤ `n + 4` ULP on random data; short inputs stay within a few ULP).
-/// That documented drift is why this is reserved for diagnostics roll-ups
-/// and never for summary state. Mixed-sign input voids the bound
-/// (catastrophic cancellation) and is a caller error.
-#[must_use]
-pub fn sum_nonneg(xs: &[f64]) -> f64 {
-    let mut acc = F64x4::ZERO;
-    let mut chunks = xs.chunks_exact(4);
-    for c in &mut chunks {
-        acc += F64x4::new(c[0], c[1], c[2], c[3]);
-    }
-    let mut tail = 0.0;
-    for &x in chunks.remainder() {
-        tail += x;
-    }
-    acc.horizontal_sum() + tail
-}
-
-/// Distance between two floats in units-in-the-last-place: how many
-/// representable doubles lie between `a` and `b` (0 means bitwise equal,
-/// `u64::MAX` for NaN or opposite-sign operands).
-///
-/// The equivalence tests use this to pin the reassociation tolerance of
-/// the diagnostic sums.
-#[must_use]
-pub fn ulp_diff(a: f64, b: f64) -> u64 {
-    if a.to_bits() == b.to_bits() || a == b {
-        // Bitwise equal (including equal NaN payloads) or numerically
-        // equal (covering +0 vs -0).
-        return 0;
-    }
-    if a.is_nan() || b.is_nan() || (a.is_sign_negative() != b.is_sign_negative()) {
-        return u64::MAX;
-    }
-    let (x, y) = (a.to_bits() & !(1 << 63), b.to_bits() & !(1 << 63));
-    x.abs_diff(y)
 }
 
 #[cfg(test)]
@@ -306,37 +247,9 @@ mod tests {
     }
 
     #[test]
-    fn sum_nonneg_stays_within_ulp_bound() {
-        for seed in [3u64, 17, 0xFEED, 0xABCD] {
-            for n in [0usize, 1, 3, 4, 5, 63, 64, 65, 1023] {
-                let xs = demands(seed, n);
-                let sequential: f64 = xs.iter().sum();
-                let vectored = sum_nonneg(&xs);
-                // Both orderings round O(n) times, so the pinned distance
-                // scales with the input length (see `sum_nonneg`'s docs).
-                assert!(
-                    ulp_diff(sequential, vectored) <= n as u64 + 4,
-                    "seed {seed} n {n}: {sequential} vs {vectored}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ulp_diff_basics() {
-        assert_eq!(ulp_diff(1.0, 1.0), 0);
-        assert_eq!(ulp_diff(1.0, f64::from_bits(1.0f64.to_bits() + 1)), 1);
-        assert_eq!(ulp_diff(f64::NAN, 1.0), u64::MAX);
-        assert_eq!(ulp_diff(-1.0, 1.0), u64::MAX);
-        assert_eq!(ulp_diff(0.0, 0.0), 0);
-        assert_eq!(ulp_diff(0.0, -0.0), 0);
-    }
-
-    #[test]
     fn vector_ops_are_elementwise() {
         let a = F64x4::new(1.0, 2.0, 3.0, 4.0);
         let b = F64x4::splat(0.5);
         assert_eq!(a + b, F64x4::new(1.5, 2.5, 3.5, 4.5));
-        assert_eq!(a.horizontal_sum(), 10.0);
     }
 }

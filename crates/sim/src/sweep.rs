@@ -71,9 +71,8 @@ pub fn machine_parallelism() -> usize {
 /// and a budget of one runs inline with no spawn at all.
 ///
 /// This is the programmatic counterpart to the `DCS_THREADS` environment
-/// override, scoped instead of process-global; the thread-scaling section
-/// of `perf_report` and the shard-invariance equivalence tests sweep
-/// thread counts through it. The previous budget is restored when `f`
+/// override, scoped instead of process-global; the shard-invariance and
+/// hyperscale equivalence tests sweep thread counts through it. The previous budget is restored when `f`
 /// returns (or unwinds).
 pub fn with_worker_budget<R>(workers: usize, f: impl FnOnce() -> R) -> R {
     let _guard = BudgetGuard::set(Some(workers.max(1)));

@@ -321,8 +321,8 @@ fn try_validate_axes(durations_min: &[f64], degrees: &[f64]) -> Result<(), SimEr
 
 /// The pre-batching reference implementation: every cell is an independent
 /// Oracle search, every evaluation an independent run. Kept (and exercised
-/// by `perf_report` and the equivalence suite) as the ground truth the
-/// batched build must match.
+/// by the unit tests, the hyperscale equivalence test and the benchmark's
+/// correctness gates) as the ground truth the batched build must match.
 ///
 /// # Panics
 ///

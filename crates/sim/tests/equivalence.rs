@@ -5,11 +5,13 @@
 use dcs_core::{ControllerConfig, FixedBound, Greedy, Heuristic, SprintStrategy};
 use dcs_faults::{FaultEvent, FaultKind, FaultSchedule};
 use dcs_power::DataCenterSpec;
+use dcs_server::{ChipSpec, ScalingModel, ServerSpec};
 use dcs_sim::{
-    oracle_search, oracle_search_exhaustive, oracle_search_with, run_bound_batch,
-    run_summary_with_faults, run_with_faults, OracleMode, Scenario,
+    build_upper_bound_table_stats, machine_parallelism, oracle_search, oracle_search_exhaustive,
+    oracle_search_stats, oracle_search_unbatched, oracle_search_with, run_bound_batch,
+    run_summary_with_faults, run_with_faults, with_worker_budget, OracleMode, Scenario,
 };
-use dcs_units::{Ratio, Seconds};
+use dcs_units::{Power, Ratio, Seconds};
 use dcs_workload::yahoo_trace;
 use proptest::prelude::*;
 
@@ -227,6 +229,62 @@ fn batched_lanes_are_invariant_across_worker_budgets() {
             assert_eq!(got.summaries, reference.summaries, "workers {workers}");
             assert_eq!(got.stats, reference.stats, "workers {workers}");
         }
+    }
+}
+
+/// Hyperscale: 1024 PDUs × 2 dense accelerator-class nodes of 128-core
+/// chips (262,144 cores). Per-step cost is scale-invariant on the uniform
+/// topology fast path, so the full batched stack runs unchanged; what
+/// this guards is that its exactness holds at that scale. The batched
+/// pruned Oracle equals the independent per-lane search, and the
+/// sharded table build is identical under worker budgets of 1, 2 and the
+/// machine width.
+#[test]
+fn hyperscale_batched_search_and_table_match_references() {
+    let (pdus, servers) = (1024, 2);
+    // 128 cores, 60 W idle, 6.5 W per busy core, in a 150 W-overhead
+    // node. Normal operation holds 32 cores, so the maximum sprinting
+    // degree stays at the paper's 4x and the 3.2x burst trace carries
+    // over.
+    let chip = ChipSpec::new(128, Power::from_watts(60.0), Power::from_watts(6.5));
+    let cores = u64::from(chip.cores()) * (pdus * servers) as u64;
+    assert!(cores >= 250_000, "only {cores} cores");
+    let server = ServerSpec::new(chip, Power::from_watts(150.0), 32, ScalingModel::default());
+    let spec = DataCenterSpec::paper_default()
+        .with_server(server)
+        .with_scale(pdus, servers);
+    let config = ControllerConfig::default();
+    let s = Scenario::new(
+        spec.clone(),
+        config.clone(),
+        yahoo_trace::with_burst(1, 3.2, Seconds::from_minutes(15.0)),
+    );
+    let none = FaultSchedule::none();
+
+    let (batched, stats) = oracle_search_stats(&s, &none, OracleMode::Pruned);
+    assert!(
+        stats.live_lane_steps > 0 && stats.unique_lanes > 0,
+        "{stats:?}"
+    );
+    assert_eq!(
+        batched,
+        oracle_search_unbatched(&s, &none, OracleMode::Pruned),
+        "batched pruned Oracle diverged from the independent per-lane runs"
+    );
+
+    let (durations, degrees) = ([1.0], [2.0, 3.0]);
+    let build =
+        || build_upper_bound_table_stats(&spec, &config, &durations, &degrees, OracleMode::Pruned);
+    let (reference, stats) = with_worker_budget(1, build);
+    assert!(
+        stats.evaluations > 0 && stats.batch.unique_lanes > 0,
+        "{stats:?}"
+    );
+    let mut budgets = vec![2, machine_parallelism()];
+    budgets.dedup();
+    for workers in budgets {
+        let (table, _) = with_worker_budget(workers, build);
+        assert_eq!(table, reference, "table diverged under {workers} workers");
     }
 }
 
