@@ -14,6 +14,11 @@ PACKAGES=(
   dcs-bench dcs-benchmark
 )
 
+echo "== size (informational, not a gate) =="
+# First-party Rust outside the fixed benchmark crate: the line count
+# ROADMAP.md quotes, from the command it quotes.
+find src crates tests examples -name '*.rs' -not -path 'crates/benchmark/*' | xargs cat | wc -l
+
 echo "== rustfmt =="
 fmt_paths=(src crates/*/src crates/*/tests tests examples)
 mapfile -t fmt_files < <(find "${fmt_paths[@]}" -name '*.rs' 2>/dev/null)

@@ -54,8 +54,8 @@ impl std::fmt::Display for TripEvent {
 /// at a load whose cold-start trip time is `t(ov)` advances the internal
 /// thermal state by `dt / t(ov)`, and the breaker opens when the state
 /// reaches 1. When the load drops back inside the no-trip region the state
-/// decays exponentially with the [`cooldown`](CircuitBreaker::with_cooldown)
-/// time constant, modeling the bimetal element cooling off.
+/// decays exponentially with a 5-minute cool-down time constant, modeling
+/// the bimetal element cooling off.
 ///
 /// This linear-accumulation model makes "remaining time before trip at the
 /// current load" — the quantity the paper's controller regulates to stay at
@@ -176,20 +176,6 @@ impl CircuitBreaker {
     /// The rating after the fault-injection derate.
     fn effective_rated(&self) -> Power {
         self.rated * self.derating
-    }
-
-    /// Sets the cool-down time constant used when the load is inside the
-    /// no-trip region (default 5 minutes) and returns the breaker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cooldown` is not strictly positive.
-    #[must_use]
-    pub fn with_cooldown(mut self, cooldown: Seconds) -> CircuitBreaker {
-        assert!(cooldown > Seconds::ZERO, "cooldown must be positive");
-        self.cooldown = cooldown;
-        self.cool_memo = None;
-        self
     }
 
     /// Returns the breaker's name.

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// # Examples
 ///
 /// ```
-/// use dcs_core::{Adaptive, UpperBoundTable};
+/// use dcs_core::{Adaptive, SprintStrategy, UpperBoundTable};
 /// use dcs_units::Ratio;
 ///
 /// let table = UpperBoundTable::new(
@@ -31,7 +31,7 @@ use serde::{Deserialize, Serialize};
 ///     vec![Ratio::new(4.0); 4],
 /// ).unwrap();
 /// let strategy = Adaptive::new(table, 1.0, 0.5);
-/// assert_eq!(strategy.name_str(), "Adaptive");
+/// assert_eq!(strategy.name(), "Adaptive");
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Adaptive {
@@ -59,12 +59,6 @@ impl Adaptive {
     #[must_use]
     pub fn predictor(&self) -> &OnlineBurstPredictor {
         &self.predictor
-    }
-
-    /// The strategy name without needing a `dyn` reference.
-    #[must_use]
-    pub fn name_str(&self) -> &'static str {
-        "Adaptive"
     }
 }
 

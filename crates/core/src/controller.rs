@@ -1,20 +1,18 @@
 //! The three-phase sprinting controller.
 //!
-//! Since the step-kernel refactor the controller is a thin composition:
-//! a [`crate::FacilityState`] (the physical plant) driven through
+//! The controller is a composition that drivers assemble themselves: a
+//! [`crate::FacilityState`] (the physical plant) driven through
 //! [`crate::step_cycle`] by a [`SprintPolicy`] (the paper's three-phase
 //! decision logic). The physics live in exactly one place —
 //! `FacilityState::advance` — and this module only decides.
 
 use crate::budget::EnergyBudget;
 use crate::facility::{Candidate, CoreDecision, FacilityState, StepInput};
-use crate::kernel::{search_largest_feasible, step_cycle, NullSink, StepPolicy};
+use crate::kernel::{search_largest_feasible, StepPolicy};
 use crate::{PowerCurve, SprintInfo, SprintStrategy, StrategyContext};
-use dcs_faults::{ActiveFaults, FaultObserver, FaultSchedule, Observation};
 use dcs_power::DataCenterSpec;
-use dcs_thermal::{CoolingPlant, RoomModel, TesTank};
 use dcs_units::{Celsius, Charge, Energy, Power, Ratio, Seconds};
-use dcs_ups::{Chemistry, UpsFleet};
+use dcs_ups::Chemistry;
 use serde::{Deserialize, Serialize};
 
 /// Which phase of the methodology the facility is in (for telemetry).
@@ -168,22 +166,6 @@ pub struct StepRecord {
     pub shed_reason: Option<ShedReason>,
 }
 
-/// Cumulative sprint bookkeeping across consecutive bursts.
-///
-/// The paper's burst statistics are aggregates: the MS trace's "real burst
-/// duration" of 16.2 minutes sums over four consecutive bursts, and the
-/// energy stores drain across all of them. The strategies therefore see
-/// cumulative sprint time, cumulative average degree, and one energy
-/// budget fixed when the first burst arrives.
-#[derive(Debug, Clone)]
-struct RunState {
-    degree_integral: f64,
-    sprint_elapsed: f64,
-    budget: EnergyBudget,
-    /// Whether Phase 3 has ever engaged (for the strict termination rule).
-    tes_engaged: bool,
-}
-
 /// The mutable sprint-lifecycle state of a [`SprintPolicy`], detached
 /// from the strategy object: the latches, the shared demand history, and
 /// the in-flight sprint's accounting. Everything a live service must
@@ -207,8 +189,14 @@ pub struct PolicyHotState {
     pub run: Option<RunHotState>,
 }
 
-/// The serializable accounting of one sprint run — the policy-private
-/// `RunState` with its fields exposed for persistence.
+/// Cumulative sprint bookkeeping across consecutive bursts, serializable
+/// so a restarted policy resumes it.
+///
+/// The paper's burst statistics are aggregates: the MS trace's "real burst
+/// duration" of 16.2 minutes sums over four consecutive bursts, and the
+/// energy stores drain across all of them. The strategies therefore see
+/// cumulative sprint time, cumulative average degree, and one energy
+/// budget fixed when the first burst arrives.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RunHotState {
     /// Time integral of the sprinting degree (for the average degree).
@@ -217,13 +205,9 @@ pub struct RunHotState {
     pub sprint_elapsed: f64,
     /// The sprint's additional-energy budget and its consumption.
     pub budget: EnergyBudget,
-    /// Whether Phase 3 ever engaged.
+    /// Whether Phase 3 ever engaged (for the strict termination rule).
     pub tes_engaged: bool,
 }
-
-/// The empty schedule the controller starts with; a `static` (not a
-/// promoted temporary) because `FaultSchedule` owns a `Vec`.
-static NO_FAULTS: FaultSchedule = FaultSchedule::NONE;
 
 /// The paper's three-phase decision logic as a [`StepPolicy`] over
 /// [`FacilityState`]: burst detection, the strategy's sprinting-degree
@@ -237,7 +221,7 @@ pub struct SprintPolicy {
     strategy: Box<dyn SprintStrategy>,
     power_curve: PowerCurve,
     sprint_active: bool,
-    run_state: Option<RunState>,
+    run_state: Option<RunHotState>,
     /// Highest demand seen so far across the whole run: consecutive bursts
     /// share one demand history (the strategies' burst-degree estimate).
     max_demand_seen: f64,
@@ -301,12 +285,7 @@ impl SprintPolicy {
             max_demand_seen: self.max_demand_seen,
             terminated: self.terminated,
             hold_until_quiet: self.hold_until_quiet,
-            run: self.run_state.as_ref().map(|run| RunHotState {
-                degree_integral: run.degree_integral,
-                sprint_elapsed: run.sprint_elapsed,
-                budget: run.budget,
-                tes_engaged: run.tes_engaged,
-            }),
+            run: self.run_state,
         }
     }
 
@@ -319,31 +298,39 @@ impl SprintPolicy {
         self.max_demand_seen = hot.max_demand_seen;
         self.terminated = hot.terminated;
         self.hold_until_quiet = hot.hold_until_quiet;
-        self.run_state = hot.run.map(|run| RunState {
-            degree_integral: run.degree_integral,
-            sprint_elapsed: run.sprint_elapsed,
-            budget: run.budget,
-            tes_engaged: run.tes_engaged,
-        });
+        self.run_state = hot.run;
         self.primed_budget = None;
     }
 
-    /// Clones the policy with a replacement strategy (the caller is
-    /// responsible for strategy-state equivalence — see
-    /// [`SprintController::clone_with_strategy`]).
+    /// Clones the policy mid-run with a replacement strategy, for forking
+    /// batched lanes off a shared prefix.
+    ///
+    /// The caller is responsible for strategy-state equivalence: the
+    /// replacement must be in the state its own `observe`/`on_sprint_start`
+    /// calls over the prefix would have produced (trivially true for
+    /// stateless strategies such as `FixedBound`).
     #[must_use]
     pub fn clone_with_strategy(&self, strategy: Box<dyn SprintStrategy>) -> SprintPolicy {
         SprintPolicy {
             strategy,
             power_curve: self.power_curve.clone(),
             sprint_active: self.sprint_active,
-            run_state: self.run_state.clone(),
+            run_state: self.run_state,
             max_demand_seen: self.max_demand_seen,
             terminated: self.terminated,
             hold_until_quiet: self.hold_until_quiet,
             primed_budget: self.primed_budget,
             needed_cores_memo: self.needed_cores_memo,
         }
+    }
+
+    /// Primes the energy budget the next sprint start will fix. The budget
+    /// depends only on the plant and the step's deratings, never on the
+    /// bound, so a batched driver computes it once at the fork
+    /// ([`FacilityState::total_energy_budget`]) for every lane. Debug builds
+    /// check it against a fresh computation when consumed.
+    pub fn prime_energy_budget(&mut self, total: Energy) {
+        self.primed_budget = Some(total);
     }
 
     /// The demand→cores inversion through the one-entry memo (see
@@ -405,7 +392,7 @@ impl<'a> StepPolicy<FacilityState<'a>> for SprintPolicy {
                 max_degree,
             };
             self.strategy.on_sprint_start(&info);
-            self.run_state = Some(RunState {
+            self.run_state = Some(RunHotState {
                 degree_integral: 0.0,
                 sprint_elapsed: 0.0,
                 budget,
@@ -593,321 +580,14 @@ impl<'a> StepPolicy<FacilityState<'a>> for SprintPolicy {
     }
 }
 
-/// The Data Center Sprinting controller: a [`FacilityState`] driven by a
-/// [`SprintPolicy`] through the step kernel, one cycle per control period.
-///
-/// The facility spec, configuration, and fault schedule are *borrowed* for
-/// the controller's lifetime: search loops (the Oracle's grid scan, the
-/// table builder's cells) construct thousands of controllers against the
-/// same spec and must not deep-clone it per run.
-///
-/// See the [crate documentation](crate) for an example.
-pub struct SprintController<'a> {
-    facility: FacilityState<'a>,
-    policy: SprintPolicy,
-    /// Injected fault schedule; [`FaultSchedule::NONE`] reproduces the
-    /// fault-free run exactly.
-    faults: &'a FaultSchedule,
-    /// Sensor pipeline: noise stream keyed by the window seed, plus the
-    /// stale-telemetry sample-and-hold.
-    observer: FaultObserver,
-}
-
-impl std::fmt::Debug for SprintController<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SprintController")
-            .field("strategy", &self.policy.strategy_name())
-            .field("now", &self.facility.now())
-            .field("sprinting", &self.policy.sprint_active())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> SprintController<'a> {
-    /// Builds a controller for a facility, with every store full and every
-    /// breaker cold.
-    #[must_use]
-    pub fn new(
-        spec: &'a DataCenterSpec,
-        config: &'a ControllerConfig,
-        strategy: Box<dyn SprintStrategy>,
-    ) -> SprintController<'a> {
-        SprintController {
-            facility: FacilityState::new(spec, config),
-            policy: SprintPolicy::new(strategy, spec),
-            faults: &NO_FAULTS,
-            observer: FaultObserver::new(),
-        }
-    }
-
-    /// Returns the facility spec.
-    #[must_use]
-    pub fn spec(&self) -> &'a DataCenterSpec {
-        self.facility.spec()
-    }
-
-    /// Returns the configuration.
-    #[must_use]
-    pub fn config(&self) -> &'a ControllerConfig {
-        self.facility.config()
-    }
-
-    /// Returns the strategy name.
-    #[must_use]
-    pub fn strategy_name(&self) -> &str {
-        self.policy.strategy_name()
-    }
-
-    /// Returns the current simulation time.
-    #[must_use]
-    pub fn now(&self) -> Seconds {
-        self.facility.now()
-    }
-
-    /// Returns the UPS fleet state.
-    #[must_use]
-    pub fn ups(&self) -> &UpsFleet {
-        self.facility.ups()
-    }
-
-    /// Returns the TES tank state.
-    #[must_use]
-    pub fn tes(&self) -> &TesTank {
-        self.facility.tes()
-    }
-
-    /// Returns the room model state.
-    #[must_use]
-    pub fn room(&self) -> &RoomModel {
-        self.facility.room()
-    }
-
-    /// Returns the breaker topology state.
-    #[must_use]
-    pub fn topology(&self) -> &dcs_power::PowerTopology {
-        self.facility.topology()
-    }
-
-    /// The reserve-rule caps at the breakers' current thermal state,
-    /// through the topology's caps memo (an unchanged hierarchy answers
-    /// without re-inverting the trip curves).
-    pub fn reserve_caps(&mut self) -> dcs_power::TopologyCaps {
-        self.facility.reserve_caps()
-    }
-
-    /// Returns the underlying facility state (read-only).
-    #[must_use]
-    pub fn facility(&self) -> &FacilityState<'a> {
-        &self.facility
-    }
-
-    /// Sets an exogenous DC-level load that persists until changed.
-    ///
-    /// §IV-A: *"some special cases that occur during the sprinting
-    /// process, such as unexpected power spikes in the utility power
-    /// supply. When these issues lead to higher CB overload, which can be
-    /// detected with real-time power measurement, we immediately lower the
-    /// sprinting degree or end sprinting."* The allocator subtracts this
-    /// load from the DC budget, so the next step's feasibility search
-    /// sheds cores automatically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `load` is negative.
-    pub fn set_external_load(&mut self, load: Power) {
-        self.facility.set_external_load(load);
-    }
-
-    /// Returns the current exogenous DC-level load.
-    #[must_use]
-    pub fn external_load(&self) -> Power {
-        self.facility.external_load()
-    }
-
-    /// Installs a fault schedule and returns the controller. Each step
-    /// looks up the faults active at the current simulation time and
-    /// derates the plant models accordingly; [`FaultSchedule::NONE`]
-    /// reproduces the fault-free run exactly.
-    #[must_use]
-    pub fn with_faults(mut self, faults: &'a FaultSchedule) -> SprintController<'a> {
-        self.faults = faults;
-        self
-    }
-
-    /// Returns the installed fault schedule.
-    #[must_use]
-    pub fn fault_schedule(&self) -> &'a FaultSchedule {
-        self.faults
-    }
-
-    /// Returns the cooling plant state.
-    #[must_use]
-    pub fn plant(&self) -> &CoolingPlant {
-        self.facility.plant()
-    }
-
-    /// Pre-computes the energy budget a sprint starting under `active`'s
-    /// deratings would fix, by applying those deratings now.
-    ///
-    /// The budget depends only on plant state plus the step's deratings —
-    /// never on the sprint bound — and [`SprintController::step_observed`]
-    /// re-applies the same deratings (idempotently) before any use, so a
-    /// batched driver can compute the budget once, [`Self::prime_energy_budget`]
-    /// it into every cloned lane, and stay bit-identical to N independent
-    /// runs.
-    pub fn energy_budget_under(&mut self, active: &ActiveFaults, dt: Seconds) -> Energy {
-        self.facility.apply_deratings(active, dt);
-        self.facility.total_energy_budget()
-    }
-
-    /// Primes the energy budget the next sprint start will fix, skipping
-    /// the per-lane budget integration in batched runs. Debug builds
-    /// verify the primed value against a fresh computation when consumed.
-    pub fn prime_energy_budget(&mut self, total: Energy) {
-        self.policy.primed_budget = Some(total);
-    }
-
-    /// Clones the controller mid-run with a replacement strategy, for
-    /// forking batched lanes off a shared prefix.
-    ///
-    /// The caller is responsible for strategy-state equivalence: the
-    /// replacement must be in the state its own `observe`/`on_sprint_start`
-    /// calls over the prefix would have produced (trivially true for
-    /// stateless strategies such as `FixedBound`).
-    #[must_use]
-    pub fn clone_with_strategy(&self, strategy: Box<dyn SprintStrategy>) -> SprintController<'a> {
-        SprintController {
-            facility: self.facility.clone(),
-            policy: self.policy.clone_with_strategy(strategy),
-            faults: self.faults,
-            observer: self.observer.clone(),
-        }
-    }
-
-    /// Returns the lifetime additional-energy split
-    /// `(cb_extra, ups, tes_savings)` — the quantities behind the paper's
-    /// "the UPS and TES provide 54 % and 13 % of the additional energy".
-    ///
-    /// All three are *electric* energies: the TES term is the chiller
-    /// power its discharge saved (heat absorbed × the chiller share of the
-    /// cooling unit cost), which is how the paper counts the TES
-    /// contribution at the DC level. The raw heat ledger is available via
-    /// [`SprintController::tes_heat_total`].
-    #[must_use]
-    pub fn energy_split(&self) -> (Energy, Energy, Energy) {
-        self.facility.energy_split()
-    }
-
-    /// Returns the total heat the TES tank absorbed (for energy-conservation
-    /// checks against the tank's state of charge).
-    #[must_use]
-    pub fn tes_heat_total(&self) -> Energy {
-        self.facility.tes_heat_total()
-    }
-
-    /// Computes the sprint's total additional-energy budget (`EB_tot`):
-    /// UPS deliverable energy, plus CB-overload energy under the reserve
-    /// rule (the tighter of the PDU and DC levels), plus the chiller
-    /// savings the TES store can fund.
-    #[must_use]
-    pub fn total_energy_budget(&self) -> Energy {
-        self.facility.total_energy_budget()
-    }
-
-    /// Advances the controller by one period with the given normalized
-    /// demand, returning the step's telemetry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `demand` is negative or not finite, or `dt` is not
-    /// strictly positive and finite.
-    pub fn step(&mut self, demand: f64, dt: Seconds) -> StepRecord {
-        self.step_with_sink(demand, dt, &mut NullSink)
-    }
-
-    /// [`SprintController::step`] with an explicit telemetry sink: each
-    /// finished step's effects are handed to `sink` before the record is
-    /// returned, so a driver materializes exactly the telemetry it needs
-    /// (full record vector, lean summary fold, …) without re-branching on a
-    /// telemetry mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `demand` is negative or not finite, or `dt` is not
-    /// strictly positive and finite.
-    pub fn step_with_sink<K>(&mut self, demand: f64, dt: Seconds, sink: &mut K) -> StepRecord
-    where
-        K: crate::kernel::StepSink<FacilityState<'a>>,
-    {
-        assert!(
-            demand.is_finite() && demand >= 0.0,
-            "demand must be non-negative"
-        );
-        let active = self.faults.active_at(self.facility.now());
-        let obs = self.observer.observe(demand, &active);
-        self.step_observed_with_sink(demand, &obs, dt, sink)
-    }
-
-    /// Advances the controller by one period using a pre-computed sensor
-    /// observation instead of resolving faults and drawing sensor noise
-    /// internally.
-    ///
-    /// This is the lane-reusable core of [`SprintController::step`]: a
-    /// batched driver resolves the fault windows and runs one
-    /// [`FaultObserver`] pass for the whole lane set, then feeds the same
-    /// `Observation` sequence to every lane. Feeding the observations a
-    /// controller's own `step` loop would have produced yields a
-    /// bit-identical run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `demand` is negative or not finite, or `dt` is not
-    /// strictly positive and finite.
-    pub fn step_observed(&mut self, demand: f64, obs: &Observation, dt: Seconds) -> StepRecord {
-        self.step_observed_with_sink(demand, obs, dt, &mut NullSink)
-    }
-
-    /// [`SprintController::step_observed`] with an explicit telemetry sink
-    /// — the batched lanes' tap point: each lane hands its summary fold
-    /// here and the kernel feeds it every finished step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `demand` is negative or not finite, or `dt` is not
-    /// strictly positive and finite.
-    pub fn step_observed_with_sink<K>(
-        &mut self,
-        demand: f64,
-        obs: &Observation,
-        dt: Seconds,
-        sink: &mut K,
-    ) -> StepRecord
-    where
-        K: crate::kernel::StepSink<FacilityState<'a>>,
-    {
-        assert!(
-            demand.is_finite() && demand >= 0.0,
-            "demand must be non-negative"
-        );
-        assert!(
-            dt > Seconds::ZERO && !dt.is_never(),
-            "time step must be positive and finite"
-        );
-        let input = StepInput {
-            time: self.facility.now(),
-            demand,
-            observation: *obs,
-            dt,
-        };
-        step_cycle(&mut self.facility, &mut self.policy, &input, sink).record
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Greedy;
+    use crate::{step_cycle, Greedy, NullSink};
+    use dcs_faults::{FaultEvent, FaultKind, FaultObserver, FaultSchedule};
     use std::sync::OnceLock;
+
+    static NO_FAULTS: FaultSchedule = FaultSchedule::NONE;
 
     fn small_spec() -> &'static DataCenterSpec {
         static SPEC: OnceLock<DataCenterSpec> = OnceLock::new();
@@ -919,15 +599,57 @@ mod tests {
         CONFIG.get_or_init(ControllerConfig::default)
     }
 
-    fn small() -> SprintController<'static> {
-        SprintController::new(small_spec(), default_config(), Box::new(Greedy))
+    /// The plant, the policy deciding for it and the sensor pipeline,
+    /// stepped the way the runner steps them: faults looked up at the
+    /// facility's clock, one observation per step, one kernel cycle.
+    struct Plant<'a> {
+        facility: FacilityState<'a>,
+        policy: SprintPolicy,
+        faults: &'a FaultSchedule,
+        observer: FaultObserver,
+    }
+
+    impl<'a> Plant<'a> {
+        fn new(
+            spec: &'a DataCenterSpec,
+            config: &'a ControllerConfig,
+            faults: &'a FaultSchedule,
+        ) -> Plant<'a> {
+            Plant {
+                facility: FacilityState::new(spec, config),
+                policy: SprintPolicy::new(Box::new(Greedy), spec),
+                faults,
+                observer: FaultObserver::new(),
+            }
+        }
+
+        /// One one-second control period at `demand`.
+        fn step(&mut self, demand: f64) -> StepRecord {
+            let time = self.facility.now();
+            let active = self.faults.active_at(time);
+            let input = StepInput {
+                time,
+                demand,
+                observation: self.observer.observe(demand, &active),
+                dt: Seconds::new(1.0),
+            };
+            step_cycle(&mut self.facility, &mut self.policy, &input, &mut NullSink).record
+        }
+    }
+
+    fn small() -> Plant<'static> {
+        small_with(&NO_FAULTS)
+    }
+
+    fn small_with(faults: &FaultSchedule) -> Plant<'_> {
+        Plant::new(small_spec(), default_config(), faults)
     }
 
     #[test]
     fn quiet_demand_served_with_normal_cores() {
         let mut c = small();
         for _ in 0..60 {
-            let r = c.step(0.7, Seconds::new(1.0));
+            let r = c.step(0.7);
             assert_eq!(r.cores, 12);
             assert_eq!(r.served, 0.7);
             assert_eq!(r.phase, Phase::Normal);
@@ -938,7 +660,7 @@ mod tests {
     #[test]
     fn burst_activates_sprint() {
         let mut c = small();
-        let r = c.step(2.5, Seconds::new(1.0));
+        let r = c.step(2.5);
         assert!(r.sprinting);
         assert!(r.cores > 12);
         assert!(r.served > 1.0);
@@ -949,7 +671,7 @@ mod tests {
         let mut c = small();
         // A brutal 30-minute demand-4 burst.
         for _ in 0..1800 {
-            let r = c.step(4.0, Seconds::new(1.0));
+            let r = c.step(4.0);
             assert!(!r.tripped, "tripped at {}", r.time);
         }
     }
@@ -958,7 +680,7 @@ mod tests {
     fn controlled_sprint_never_overheats() {
         let mut c = small();
         for _ in 0..1800 {
-            let r = c.step(4.0, Seconds::new(1.0));
+            let r = c.step(4.0);
             assert!(
                 !r.overheated,
                 "overheated at {} ({})",
@@ -974,7 +696,7 @@ mod tests {
         // A moderate burst: Phase 1 can initially carry it on CB tolerance
         // alone, then UPS joins as the overload bound decays, then TES.
         for _ in 0..1200 {
-            let r = c.step(2.0, Seconds::new(1.0));
+            let r = c.step(2.0);
             if seen.last() != Some(&r.phase) {
                 seen.push(r.phase);
             }
@@ -994,9 +716,9 @@ mod tests {
     fn sprint_ends_when_burst_ends() {
         let mut c = small();
         for _ in 0..60 {
-            c.step(2.0, Seconds::new(1.0));
+            c.step(2.0);
         }
-        let r = c.step(0.8, Seconds::new(1.0));
+        let r = c.step(0.8);
         assert!(!r.sprinting);
         assert_eq!(r.cores, 12);
     }
@@ -1006,36 +728,36 @@ mod tests {
         let mut c = small();
         let mut final_served = 0.0;
         for _ in 0..1800 {
-            final_served = c.step(4.0, Seconds::new(1.0)).served;
+            final_served = c.step(4.0).served;
         }
         // After resources drain the sprint degree collapses toward normal,
         // but the facility keeps serving at least the normal capacity.
         assert!(final_served >= 1.0 - 1e-9);
         // And the stores are indeed drained: the UPS is effectively empty.
-        assert!(c.ups().state_of_charge().as_f64() < 0.05);
+        assert!(c.facility.ups().state_of_charge().as_f64() < 0.05);
     }
 
     #[test]
     fn recharge_refills_stores_when_quiet() {
         let mut c = small();
         for _ in 0..300 {
-            c.step(3.5, Seconds::new(1.0));
+            c.step(3.5);
         }
-        let soc_after_burst = c.ups().state_of_charge();
+        let soc_after_burst = c.facility.ups().state_of_charge();
         for _ in 0..600 {
-            let r = c.step(0.5, Seconds::new(1.0));
+            let r = c.step(0.5);
             assert!(!r.tripped);
         }
-        assert!(c.ups().state_of_charge() > soc_after_burst);
+        assert!(c.facility.ups().state_of_charge() > soc_after_burst);
     }
 
     #[test]
     fn energy_split_accumulates() {
         let mut c = small();
         for _ in 0..900 {
-            c.step(3.5, Seconds::new(1.0));
+            c.step(3.5);
         }
-        let (cb, ups, tes) = c.energy_split();
+        let (cb, ups, tes) = c.facility.energy_split();
         assert!(cb > Energy::ZERO);
         assert!(ups > Energy::ZERO);
         assert!(tes > Energy::ZERO);
@@ -1044,7 +766,7 @@ mod tests {
     #[test]
     fn budget_is_positive_and_finite() {
         let c = small();
-        let eb = c.total_energy_budget();
+        let eb = c.facility.total_energy_budget();
         assert!(eb > Energy::ZERO);
         // The UPS share alone: 800 servers x ~5.7 Wh of deliverable energy.
         assert!(eb > Energy::from_watt_hours(800.0 * 5.0));
@@ -1058,14 +780,15 @@ mod tests {
         // the controller absorbs spikes by shifting servers onto them.
         let mut c = small();
         for _ in 0..900 {
-            c.step(2.5, Seconds::new(1.0));
+            c.step(2.5);
         }
-        let before = c.step(2.5, Seconds::new(1.0));
+        let before = c.step(2.5);
         assert!(before.cores > 12);
         // A spike the drained UPS cannot absorb (but small enough that
         // normal operation still fits under the breaker rating).
-        c.set_external_load(c.spec().dc_rated() * 0.04);
-        let after = c.step(2.5, Seconds::new(1.0));
+        c.facility
+            .set_external_load(c.facility.spec().dc_rated() * 0.04);
+        let after = c.step(2.5);
         assert!(
             after.cores < before.cores,
             "degree must drop: {} -> {}",
@@ -1074,8 +797,8 @@ mod tests {
         );
         assert!(!after.tripped);
         // Spike clears: the sprint recovers.
-        c.set_external_load(Power::ZERO);
-        let recovered = c.step(2.5, Seconds::new(1.0));
+        c.facility.set_external_load(Power::ZERO);
+        let recovered = c.step(2.5);
         assert!(recovered.cores >= after.cores);
     }
 
@@ -1085,9 +808,10 @@ mod tests {
         // controller must ride it indefinitely without a trip, shedding
         // the sprint as needed.
         let mut c = small();
-        c.set_external_load(c.spec().dc_rated() * 0.05);
+        c.facility
+            .set_external_load(c.facility.spec().dc_rated() * 0.05);
         for _ in 0..1800 {
-            let r = c.step(3.0, Seconds::new(1.0));
+            let r = c.step(3.0);
             assert!(!r.tripped, "tripped at {}", r.time);
         }
     }
@@ -1101,11 +825,11 @@ mod tests {
             tes_minutes: 0.5,
             ..ControllerConfig::default()
         };
-        let mut c = SprintController::new(&spec, &config, Box::new(Greedy));
+        let mut c = Plant::new(&spec, &config, &NO_FAULTS);
         let mut terminated_seen = false;
         let mut prev_sprinting = false;
         for _ in 0..1500 {
-            let r = c.step(4.0, Seconds::new(1.0));
+            let r = c.step(4.0);
             assert!(!r.tripped && !r.overheated);
             // Skip the transitional step where termination latched mid-step.
             if !r.sprinting && !prev_sprinting && r.demand > 1.0 && terminated_seen {
@@ -1119,19 +843,11 @@ mod tests {
         assert!(terminated_seen, "strict mode never terminated");
         // Quiet demand clears the latch; a new burst sprints again.
         for _ in 0..30 {
-            c.step(0.5, Seconds::new(1.0));
+            c.step(0.5);
         }
-        let r = c.step(2.0, Seconds::new(1.0));
+        let r = c.step(2.0);
         assert!(r.sprinting, "sprinting must resume after the burst passed");
     }
-
-    #[test]
-    fn debug_impl_mentions_strategy() {
-        let c = small();
-        assert!(format!("{c:?}").contains("Greedy"));
-    }
-
-    use dcs_faults::{FaultEvent, FaultKind};
 
     fn whole_run(kind: FaultKind) -> FaultSchedule {
         FaultSchedule::new(vec![FaultEvent::new(
@@ -1145,11 +861,11 @@ mod tests {
     fn empty_fault_schedule_is_telemetry_identical() {
         let none = FaultSchedule::none();
         let mut plain = small();
-        let mut faulted = small().with_faults(&none);
+        let mut faulted = small_with(&none);
         for step in 0..600 {
             let demand = if (120..360).contains(&step) { 2.8 } else { 0.6 };
-            let a = plain.step(demand, Seconds::new(1.0));
-            let b = faulted.step(demand, Seconds::new(1.0));
+            let a = plain.step(demand);
+            let b = faulted.step(demand);
             assert_eq!(a, b, "diverged at step {step}");
             assert!(!b.fault_active);
         }
@@ -1160,7 +876,7 @@ mod tests {
         let mut c = small();
         let mut power_seen = false;
         for _ in 0..1800 {
-            let r = c.step(4.0, Seconds::new(1.0));
+            let r = c.step(4.0);
             assert_ne!(r.shed_reason, Some(ShedReason::Emergency));
             if r.shed_reason == Some(ShedReason::Power) {
                 power_seen = true;
@@ -1176,11 +892,11 @@ mod tests {
         // region; without the emergency backstop this run trips once the
         // UPS drains.
         let faults = whole_run(FaultKind::BreakerDerated { factor: 0.7 });
-        let mut c = small().with_faults(&faults);
+        let mut c = small_with(&faults);
         let mut emergency_seen = false;
         let mut min_cores = u32::MAX;
         for _ in 0..3600 {
-            let r = c.step(1.0, Seconds::new(1.0));
+            let r = c.step(1.0);
             assert!(!r.tripped, "tripped at {}", r.time);
             assert!(!r.overheated);
             assert!(r.fault_active);
@@ -1211,10 +927,10 @@ mod tests {
                 FaultKind::StaleTelemetry { hold_steps: 20 },
             ),
         ]);
-        let mut c = small().with_faults(&faults);
+        let mut c = small_with(&faults);
         for step in 0..1800 {
             let demand = if step % 600 < 300 { 3.0 } else { 0.5 };
-            let r = c.step(demand, Seconds::new(1.0));
+            let r = c.step(demand);
             assert!(!r.tripped, "tripped at {}", r.time);
             assert!(!r.overheated, "overheated at {}", r.time);
             // Served performance is reported against the *true* demand.
@@ -1225,10 +941,10 @@ mod tests {
     #[test]
     fn ups_string_failure_still_sprints_safely() {
         let faults = whole_run(FaultKind::UpsStringFailure { fraction: 0.5 });
-        let mut c = small().with_faults(&faults);
+        let mut c = small_with(&faults);
         let mut peak_served = 0.0_f64;
         for _ in 0..900 {
-            let r = c.step(2.5, Seconds::new(1.0));
+            let r = c.step(2.5);
             assert!(!r.tripped && !r.overheated);
             peak_served = peak_served.max(r.served);
         }

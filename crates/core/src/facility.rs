@@ -362,6 +362,11 @@ impl<'a> FacilityState<'a> {
 
     /// Sets an exogenous DC-level load that persists until changed.
     ///
+    /// §IV-A: *"unexpected power spikes in the utility power supply ...
+    /// we immediately lower the sprinting degree or end sprinting."* The
+    /// load is subtracted from the DC budget, so the next step's
+    /// feasibility search sheds cores automatically.
+    ///
     /// # Panics
     ///
     /// Panics if `load` is negative.

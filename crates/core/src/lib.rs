@@ -20,29 +20,37 @@
 //! (predicted burst duration + an [`UpperBoundTable`]), and [`Heuristic`]
 //! (estimated best average degree with an energy-budget feedback loop).
 //!
-//! The [`SprintController`] owns the full plant (breaker topology, UPS
-//! fleet, cooling plant, TES tank, room model) and exposes one
-//! [`step`](SprintController::step) per control period; the `dcs-sim` crate
-//! drives it with demand traces and computes the paper's metrics.
+//! A [`FacilityState`] owns the full plant (breaker topology, UPS fleet,
+//! cooling plant, TES tank, room model), a [`SprintPolicy`] holds the
+//! three-phase decision logic, and [`step_cycle`] advances the pair by one
+//! control period; the `dcs-sim` crate drives them with demand traces and
+//! computes the paper's metrics.
 //!
 //! # Examples
 //!
 //! ```
-//! use dcs_core::{ControllerConfig, Greedy, SprintController};
+//! use dcs_core::{
+//!     step_cycle, ControllerConfig, FacilityState, Greedy, NullSink, SprintPolicy, StepInput,
+//! };
 //! use dcs_power::DataCenterSpec;
 //! use dcs_units::Seconds;
 //!
 //! let spec = DataCenterSpec::paper_default().with_scale(4, 200);
 //! let config = ControllerConfig::default();
-//! let mut ctl = SprintController::new(&spec, &config, Box::new(Greedy));
+//! let mut facility = FacilityState::new(&spec, &config);
+//! let mut policy = SprintPolicy::new(Box::new(Greedy), &spec);
+//! let mut step = |demand: f64| {
+//!     let input = StepInput::nominal(facility.now(), demand, Seconds::new(1.0));
+//!     step_cycle(&mut facility, &mut policy, &input, &mut NullSink).record
+//! };
 //!
 //! // A quiet period serves everything with the normal cores.
-//! let rec = ctl.step(0.8, Seconds::new(1.0));
+//! let rec = step(0.8);
 //! assert_eq!(rec.served, 0.8);
 //! assert_eq!(rec.cores, 12);
 //!
 //! // A burst activates extra cores.
-//! let rec = ctl.step(2.0, Seconds::new(1.0));
+//! let rec = step(2.0);
 //! assert!(rec.cores > 12);
 //! assert!(rec.served > 1.0);
 //! ```
@@ -66,8 +74,7 @@ pub use adaptive::Adaptive;
 pub use budget::{cb_overload_energy, EnergyBudget};
 pub use context::{PowerCurve, SprintInfo, StrategyContext};
 pub use controller::{
-    ControllerConfig, Phase, PolicyHotState, RunHotState, ShedReason, SprintController,
-    SprintPolicy, StepRecord,
+    ControllerConfig, Phase, PolicyHotState, RunHotState, ShedReason, SprintPolicy, StepRecord,
 };
 pub use facility::{
     CoolingPlan, CoreDecision, FacilityHotState, FacilityState, StepEffects, StepInput,

@@ -19,7 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use dcs_core::{
@@ -198,7 +198,7 @@ pub struct Counters {
 
 /// The engine-maintained part of `/status`, refreshed after every
 /// decision (and on boot/restore/rebuild) so reading status never has to
-/// wait on — or wedge with — the engine.
+/// wait on — or wedge with — the engine once the plant is built.
 #[derive(Debug, Clone)]
 pub struct EngineStatus {
     /// Lifetime decisions (survives restarts via the checkpoint).
@@ -239,8 +239,12 @@ pub struct Shared {
     pub started: Instant,
     /// Since-boot counters.
     pub counters: Counters,
-    /// The engine's status snapshot.
-    pub status: Mutex<EngineStatus>,
+    /// The engine's status snapshot; `None` until the engine's first
+    /// publish, which comes after it has built (or restored) the plant.
+    pub status: Mutex<Option<EngineStatus>>,
+    /// Signalled by the first publish, waking `/status` readers that
+    /// arrived before it.
+    pub status_ready: Condvar,
     /// The live config (connection threads read serving knobs from here).
     pub config: Mutex<Arc<ServiceConfig>>,
     /// The most recent rejected reload's error.
@@ -264,30 +268,8 @@ impl Shared {
             drain_started_ms: AtomicU64::new(u64::MAX),
             started,
             counters: Counters::default(),
-            status: Mutex::new(EngineStatus {
-                decisions: 0,
-                facility: FacilityStatus {
-                    time_secs: 0.0,
-                    room_temperature_c: 0.0,
-                    room_headroom_c: 0.0,
-                    ups: UpsStatus {
-                        state_of_charge: 0.0,
-                        deliverable_wh: 0.0,
-                        on_battery: 0,
-                    },
-                    tes: TesStatus {
-                        state_of_charge: 0.0,
-                        stored_wh: 0.0,
-                    },
-                    breakers: Vec::new(),
-                },
-                sprint: SprintStatus {
-                    strategy: String::new(),
-                    active: false,
-                    terminated: false,
-                },
-                window: WindowStats::default(),
-            }),
+            status: Mutex::new(None),
+            status_ready: Condvar::new(),
             config: Mutex::new(config),
             last_reload_error: Mutex::new(None),
         }
@@ -407,7 +389,11 @@ fn publish_status(
         },
         window: sink.window(),
     };
-    *shared.status.lock().expect("status lock") = snapshot;
+    let mut status = shared.status.lock().expect("status lock");
+    // Only the first publish can have waiters; later ones skip the wake.
+    if status.replace(snapshot).is_none() {
+        shared.status_ready.notify_all();
+    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {

@@ -517,8 +517,23 @@ fn handle_healthz(shared: &Arc<Shared>) -> (u16, String) {
 }
 
 fn handle_status(shared: &Arc<Shared>) -> (u16, String) {
-    let engine = shared.status.lock().expect("status lock").clone();
     let config = shared.current_config();
+    let deadline_ms = config.deadline_ms();
+    // Until the engine has built the plant and published once there is
+    // no status to report: wait for it under the request deadline.
+    let status = shared.status.lock().expect("status lock");
+    let wait = Duration::from_millis(deadline_ms);
+    let ready = shared
+        .status_ready
+        .wait_timeout_while(status, wait, |s| s.is_none());
+    let (status, _) = ready.expect("status lock");
+    let Some(engine) = status.clone() else {
+        let message = format!("no engine status within {deadline_ms} ms of boot");
+        let mut error = ErrorBody::new("deadline_exceeded", message);
+        error.error.deadline_ms = Some(deadline_ms);
+        return (503, error.to_json());
+    };
+    drop(status);
     let counters = &shared.counters;
     let drain_since = shared.drain_started_ms.load(Ordering::SeqCst);
     let body = StatusBody {
@@ -758,4 +773,22 @@ fn handle_reload(body: &[u8], shared: &Arc<Shared>, tx: &SyncSender<EngineMsg>) 
 fn handle_shutdown(ctx: &ConnContext) -> (u16, String) {
     begin_drain(ctx.shared.clone(), ctx.shutdown.clone(), ctx.tx.clone());
     json_or_500(200, &ShutdownResponse { draining: true })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn status_before_the_first_publish_is_a_typed_503() {
+        let mut config = ServiceConfig::for_facility(2, 20);
+        config.deadline_ms = Some(20);
+        // No engine runs, so nothing ever publishes.
+        let shared = Arc::new(Shared::new(Arc::new(config)));
+        let (status, body) = handle_status(&shared);
+        assert_eq!(status, 503, "{body}");
+        let error: ErrorBody = serde_json::from_str(&body).expect("typed error body");
+        assert_eq!(error.error.kind, "deadline_exceeded");
+        assert_eq!(error.error.deadline_ms, Some(20));
+    }
 }

@@ -365,44 +365,51 @@ fn chaos_panic_is_isolated_to_one_request() {
     service.shutdown();
 }
 
+/// A restart restores the plant bit-identically, on a small plant and on
+/// the paper's. Each `/status` after a restart is asked the moment `spawn`
+/// returns, before the engine has rebuilt the plant from its checkpoint:
+/// it must wait for the engine's first publish, not answer a placeholder.
 #[test]
 fn clean_restart_restores_checkpointed_state() {
-    let dir = scratch_dir("restart");
-    let mut config = small_config();
-    config.checkpoint_every = Some(1);
+    for (pdus, servers_per_pdu) in [(2, 20), (900, 200)] {
+        let dir = scratch_dir(&format!("restart-{pdus}"));
+        let mut config = ServiceConfig::for_facility(pdus, servers_per_pdu);
+        config.checkpoint_every = Some(1);
+        // That wait is bounded by the request deadline, which here must
+        // cover a debug build's plant construction on a loaded host.
+        config.deadline_ms = Some(30_000);
+        let options = || ServiceOptions {
+            state_dir: Some(dir.clone()),
+            chaos: ChaosSchedule::none(),
+        };
 
-    let options = ServiceOptions {
-        state_dir: Some(dir.clone()),
-        chaos: ChaosSchedule::none(),
-    };
-    let service = spawn(config.clone(), options);
-    let addr = service.addr();
-    for i in 0..12 {
-        let demand = if (4..10).contains(&i) { 2.6 } else { 0.6 };
-        let (status, body) = step(addr, demand);
+        let service = spawn(config.clone(), options());
+        let addr = service.addr();
+        for i in 0..12 {
+            let demand = if (4..10).contains(&i) { 2.6 } else { 0.6 };
+            let (status, body) = step(addr, demand);
+            assert_eq!(status, 200, "{body}");
+        }
+        let (_, body) = request(addr, "GET", "/status", None);
+        let before: StatusBody = parse(&body);
+        assert_eq!(before.decisions, 12);
+        service.shutdown();
+
+        let service = spawn(config, options());
+        let (status, body) = request(service.addr(), "GET", "/status", None);
         assert_eq!(status, 200, "{body}");
+        let after: StatusBody = parse(&body);
+        assert_eq!(after.decisions, 12);
+        assert_eq!(after.facility.breakers.len(), pdus + 1, "dc + every pdu");
+        assert_eq!(
+            after.facility, before.facility,
+            "plant hot state did not restore bit-identically"
+        );
+        assert_eq!(after.sprint, before.sprint);
+        service.shutdown();
+
+        std::fs::remove_dir_all(&dir).ok();
     }
-    let (_, body) = request(addr, "GET", "/status", None);
-    let before: StatusBody = parse(&body);
-    assert_eq!(before.decisions, 12);
-    service.shutdown();
-
-    let options = ServiceOptions {
-        state_dir: Some(dir.clone()),
-        chaos: ChaosSchedule::none(),
-    };
-    let service = spawn(config, options);
-    let (_, body) = request(service.addr(), "GET", "/status", None);
-    let after: StatusBody = parse(&body);
-    assert_eq!(after.decisions, 12);
-    assert_eq!(
-        after.facility, before.facility,
-        "plant hot state did not restore bit-identically"
-    );
-    assert_eq!(after.sprint, before.sprint);
-    service.shutdown();
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

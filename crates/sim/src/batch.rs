@@ -6,10 +6,10 @@
 //! candidate re-samples the trace, re-resolves the fault windows, and
 //! re-draws the sensor-noise stream. The batch runner here computes that
 //! shared per-step work exactly once ([`shared_pass`]), then advances N
-//! lanes — one [`SprintController`] per candidate bound — in lockstep
-//! through the steps, with lane state held structure-of-arrays (parallel
-//! `ctrls`/`folds`/flag vectors) so the per-lane physics is a tight inner
-//! loop over the lane set at each step.
+//! lanes — one [`FacilityState`] and [`SprintPolicy`] pair per candidate
+//! bound — in lockstep through the steps, with lane state held
+//! structure-of-arrays (parallel lane/fold/flag vectors) so the per-lane
+//! physics is a tight inner loop over the lane set at each step.
 //!
 //! Three exact accelerations ride on the lockstep structure:
 //!
@@ -31,19 +31,22 @@
 //!    every clone instead of once per lane.
 //!
 //! All three preserve bit-identical [`SimSummary`] output versus N
-//! independent `run_with_options` calls — including under random
+//! independent [`run_summary_with_faults`](crate::run_summary_with_faults)
+//! calls — including under random
 //! [`FaultSchedule`]s — which the equivalence property suite and the
 //! benchmark's per-run correctness gates enforce. The runner is specific
 //! to constant-bound lanes: stateful strategies would observe the shared
 //! prefix differently and are rejected by construction (only `FixedBound`
 //! lanes are ever built here).
 
-use crate::error::SimError;
 use crate::scenario::{Scenario, SimSummary};
 use crate::simd::{fold_span_group, record_delta, F64x4};
 use crate::sink::SummaryFold;
 use crate::sweep::parallel_map;
-use dcs_core::{ControllerConfig, FixedBound, SprintController, StepRecord};
+use dcs_core::{
+    step_cycle, ControllerConfig, FacilityState, FixedBound, NullSink, SprintPolicy, StepInput,
+    StepRecord, StepSink,
+};
 use dcs_faults::{ActiveFaults, FaultObserver, FaultSchedule, FaultTimeline, Observation};
 use dcs_power::DataCenterSpec;
 use dcs_units::{Energy, Power, Ratio, Seconds, TempDelta};
@@ -143,8 +146,56 @@ fn nominal_observation(demand: f64) -> Observation {
     }
 }
 
-fn summary_of(ctrl: &SprintController<'_>, fold: &SummaryFold, dt: Seconds) -> SimSummary {
-    fold.summarize(ctrl.strategy_name().to_owned(), dt, ctrl.energy_split())
+/// One batched lane: a plant and the `FixedBound` policy deciding for it.
+/// Lanes step on the observations [`shared_pass`] computed once for the
+/// whole batch, so they carry no fault schedule or sensor pipeline.
+struct Lane<'a> {
+    facility: FacilityState<'a>,
+    policy: SprintPolicy,
+}
+
+impl<'a> Lane<'a> {
+    fn new(spec: &'a DataCenterSpec, config: &'a ControllerConfig, bound: Ratio) -> Lane<'a> {
+        Lane {
+            facility: FacilityState::new(spec, config),
+            policy: SprintPolicy::new(Box::new(FixedBound::new(bound)), spec),
+        }
+    }
+
+    /// Clones the lane mid-run onto `bound`. Exact for `FixedBound`, which
+    /// carries no state of its own.
+    fn fork(&self, bound: Ratio) -> Lane<'a> {
+        Lane {
+            facility: self.facility.clone(),
+            policy: self
+                .policy
+                .clone_with_strategy(Box::new(FixedBound::new(bound))),
+        }
+    }
+
+    /// One kernel cycle at the facility's clock on a pre-computed
+    /// observation: the same input a runner step builds from the faults
+    /// active at that time.
+    fn step<K>(&mut self, demand: f64, obs: &Observation, dt: Seconds, sink: &mut K) -> StepRecord
+    where
+        K: StepSink<FacilityState<'a>>,
+    {
+        let input = StepInput {
+            time: self.facility.now(),
+            demand,
+            observation: *obs,
+            dt,
+        };
+        step_cycle(&mut self.facility, &mut self.policy, &input, sink).record
+    }
+
+    fn summary(&self, fold: &SummaryFold, dt: Seconds) -> SimSummary {
+        fold.summarize(
+            self.policy.strategy_name().to_owned(),
+            dt,
+            self.facility.energy_split(),
+        )
+    }
 }
 
 /// Conservative certificate that *every* remaining step of a
@@ -160,31 +211,31 @@ fn summary_of(ctrl: &SprintController<'_>, fold: &SummaryFold, dt: Seconds) -> S
 /// certificate that holds now keeps holding for the rest of the tail. A
 /// tripped breaker zeroes its cap and fails the check, which safely forces
 /// the live-step fallback.
-fn fold_safe(ctrl: &mut SprintController<'_>) -> bool {
-    let spec = ctrl.spec();
+fn fold_safe(facility: &mut FacilityState<'_>) -> bool {
+    let spec = facility.spec();
     let server = spec.server();
-    let plant = ctrl.plant();
+    let plant = facility.plant();
     let peak_normal_it = spec.peak_normal_it_power();
     if plant.design_capacity() < peak_normal_it {
         return false;
     }
     let worst_cooling = plant.electric_power(plant.design_capacity(), Power::ZERO);
-    let caps = ctrl.reserve_caps();
-    let dc_it_budget = (caps.dc_total - worst_cooling - ctrl.external_load()).max_zero();
+    let caps = facility.reserve_caps();
+    let dc_it_budget = (caps.dc_total - worst_cooling - facility.external_load()).max_zero();
     let allowed_per_pdu = caps.per_pdu.min(dc_it_budget / spec.pdu_count() as f64);
     let worst_per_pdu = server.peak_normal_power() * spec.servers_per_pdu() as f64;
     if worst_per_pdu > allowed_per_pdu {
         return false;
     }
-    let topo = ctrl.topology();
+    let topo = facility.topology();
     if topo.any_pdu_trips_at(worst_per_pdu) {
         return false;
     }
-    let worst_dc = peak_normal_it + worst_cooling + ctrl.external_load();
+    let worst_dc = peak_normal_it + worst_cooling + facility.external_load();
     topo.dc_breaker().trip_time_at(worst_dc).is_never()
 }
 
-/// Lanes per thread-sharded block. Small enough that a block's controllers
+/// Lanes per thread-sharded block. Small enough that a block's lanes
 /// stay cache-resident and hyperscale grids spread across every worker,
 /// large enough to amortize the per-block fork; at most 64 so each
 /// per-block flag set fits one [`LaneMask`] word.
@@ -319,8 +370,8 @@ impl FoldBank {
     }
 }
 
-/// One thread shard of the lane set: up to [`BLOCK_LANES`] controllers
-/// plus the structure-of-arrays fold bank and flag masks.
+/// One thread shard of the lane set: up to [`BLOCK_LANES`] lanes plus the
+/// structure-of-arrays fold bank and flag masks.
 ///
 /// Blocks are carved from the deduped lane order in fixed-size chunks, so
 /// the block→lane assignment — and with it every lane's arithmetic, clone
@@ -329,7 +380,7 @@ impl FoldBank {
 /// batched results (and the checkpoint/resume digests built on them)
 /// bit-identical across thread counts.
 struct LaneBlock<'a> {
-    ctrls: Vec<SprintController<'a>>,
+    lanes: Vec<Lane<'a>>,
     bank: FoldBank,
     terminated: LaneMask,
     /// Lane's effective core cap equals the normal allocation, so burst
@@ -343,7 +394,7 @@ impl<'a> LaneBlock<'a> {
     /// representative per bound, prime the lane-independent energy budget,
     /// seed every lane's fold state from the prefix fold.
     fn forked(
-        rep: &SprintController<'a>,
+        rep: &Lane<'a>,
         prefix: &SummaryFold,
         bounds: &[Ratio],
         pinned: impl Iterator<Item = bool>,
@@ -356,12 +407,12 @@ impl<'a> LaneBlock<'a> {
             }
         }
         LaneBlock {
-            ctrls: bounds
+            lanes: bounds
                 .iter()
                 .map(|&b| {
-                    let mut ctrl = rep.clone_with_strategy(Box::new(FixedBound::new(b)));
-                    ctrl.prime_energy_budget(primed);
-                    ctrl
+                    let mut lane = rep.fork(b);
+                    lane.policy.prime_energy_budget(primed);
+                    lane
                 })
                 .collect(),
             bank: FoldBank::seeded(bounds.len(), prefix),
@@ -372,13 +423,13 @@ impl<'a> LaneBlock<'a> {
     }
 
     fn len(&self) -> usize {
-        self.ctrls.len()
+        self.lanes.len()
     }
 
-    /// Runs one live controller step for `slot` and absorbs the record
-    /// into the fold bank, latching termination.
+    /// Runs one live step for `slot` and absorbs the record into the fold
+    /// bank, latching termination.
     fn live_step(&mut self, slot: usize, demand: f64, obs: &Observation, dt: Seconds) {
-        let rec = self.ctrls[slot].step_observed(demand, obs, dt);
+        let rec = self.lanes[slot].step(demand, obs, dt, &mut NullSink);
         self.bank.absorb(slot, &rec, dt);
         if rec.tripped || rec.overheated {
             self.terminated.set(slot);
@@ -387,27 +438,8 @@ impl<'a> LaneBlock<'a> {
 
     /// Finishes `slot` into its summary.
     fn summary(&self, slot: usize, dt: Seconds) -> SimSummary {
-        summary_of(&self.ctrls[slot], &self.bank.fold_of(slot), dt)
+        self.lanes[slot].summary(&self.bank.fold_of(slot), dt)
     }
-}
-
-/// Fallible [`run_bound_batch`]: a bound below 1 or a malformed fault
-/// schedule returns a typed [`SimError`] instead of panicking.
-pub fn try_run_bound_batch(
-    scenario: &Scenario,
-    bounds: &[Ratio],
-    faults: &FaultSchedule,
-) -> Result<BatchOutcome, SimError> {
-    faults.validate().map_err(SimError::faults)?;
-    for (i, &bound) in bounds.iter().enumerate() {
-        if bound < Ratio::ONE {
-            return Err(SimError::config(format!(
-                "lane {i}: bound {} is below 1",
-                bound.as_f64()
-            )));
-        }
-    }
-    Ok(run_bound_batch(scenario, bounds, faults))
 }
 
 /// Runs one `FixedBound` lane per candidate bound through a single pass
@@ -481,53 +513,34 @@ pub fn run_bound_batch(
     }
 
     // --- Shared quiet prefix on one representative lane ------------------
+    // A lane terminated before the first burst never sprints, so every
+    // bound's run is identical: the representative then runs on alone past
+    // the fork point, and its summary is replicated. Likewise when the
+    // trace never bursts at all, or the representative's tail folds.
     let fork_at = shared.first_burst.unwrap_or(len);
-    let mut rep = SprintController::new(spec, config, Box::new(FixedBound::new(rep_bounds[0])))
-        .with_faults(faults);
+    let mut rep = Lane::new(spec, config, rep_bounds[0]);
     let mut rep_fold = SummaryFold::new();
     let mut rep_terminated = false;
-    let mut rep_done = false;
     let mut i = 0;
-    while i < fork_at {
+    while i < len && (i < fork_at || rep_terminated) {
         let quiet_ok = i >= shared.inert_from;
         let term_ok = rep_terminated && i >= shared.nominal_from;
-        if (quiet_ok || term_ok) && fold_safe(&mut rep) {
+        if (quiet_ok || term_ok) && fold_safe(&mut rep.facility) {
             rep_fold.fold_span(&shared.demands[i..], dt, normal_capacity);
             stats.folded_lane_steps += (len - i) as u64;
-            rep_done = true;
+            i = len;
             break;
         }
-        let rec = rep.step_observed_with_sink(shared.demands[i], &shared.obs[i], dt, &mut rep_fold);
+        let rec = rep.step(shared.demands[i], &shared.obs[i], dt, &mut rep_fold);
         stats.live_lane_steps += 1;
         if rec.tripped || rec.overheated {
             rep_terminated = true;
         }
         i += 1;
     }
-
-    // A lane terminated before the first burst never sprints, so every
-    // bound's run is identical: finish the representative alone and
-    // replicate. Likewise when the trace never bursts at all.
-    if rep_done || rep_terminated || fork_at == len {
-        let mut i = fork_at;
-        while !rep_done && i < len {
-            let quiet_ok = i >= shared.inert_from;
-            let term_ok = rep_terminated && i >= shared.nominal_from;
-            if (quiet_ok || term_ok) && fold_safe(&mut rep) {
-                rep_fold.fold_span(&shared.demands[i..], dt, normal_capacity);
-                stats.folded_lane_steps += (len - i) as u64;
-                break;
-            }
-            let rec =
-                rep.step_observed_with_sink(shared.demands[i], &shared.obs[i], dt, &mut rep_fold);
-            stats.live_lane_steps += 1;
-            if rec.tripped || rec.overheated {
-                rep_terminated = true;
-            }
-            i += 1;
-        }
+    if i == len {
         stats.unique_lanes = 1;
-        let summary = summary_of(&rep, &rep_fold, dt);
+        let summary = rep.summary(&rep_fold, dt);
         return BatchOutcome {
             summaries: bounds.iter().map(|_| summary.clone()).collect(),
             stats,
@@ -537,7 +550,12 @@ pub fn run_bound_batch(
     // --- Fork: clone the prefix into one lane per distinct bound, sharded
     // into fixed-size blocks across the sweep workers -----------------------
     stats.unique_lanes = rep_bounds.len();
-    let primed = rep.energy_budget_under(&shared.obs[fork_at].active, dt);
+    // The fork step's deratings, applied now, are the ones every lane's
+    // first `prepare` applies again (idempotently), so the budget they fix
+    // is the one each lane would compute.
+    rep.facility
+        .apply_deratings(&shared.obs[fork_at].active, dt);
+    let primed = rep.facility.total_energy_budget();
     let rep = &rep;
     let rep_fold = &rep_fold;
     let shared = &shared;
@@ -566,7 +584,9 @@ pub fn run_bound_batch(
                     continue;
                 }
                 let exempt = block.terminated.get(slot) || block.normal_pinned.get(slot);
-                if (quiet_ok || (exempt && nominal_ok)) && fold_safe(&mut block.ctrls[slot]) {
+                if (quiet_ok || (exempt && nominal_ok))
+                    && fold_safe(&mut block.lanes[slot].facility)
+                {
                     retire.push(slot);
                     block.done.set(slot);
                     continue;
@@ -693,7 +713,7 @@ pub(crate) fn run_bound_batch_tapped(
     // and tail are guaranteed fold-safe by the freeze-time checks).
     #[allow(clippy::too_many_arguments)]
     fn resolve_tap(
-        ctrl: &SprintController<'_>,
+        lane: &Lane<'_>,
         fold: &SummaryFold,
         terminated: bool,
         pos: usize,
@@ -715,9 +735,9 @@ pub(crate) fn run_bound_batch_tapped(
             fold.fold_span(&shared.demands[pos..tap.at], dt, normal_capacity);
             fold.fold_span(&tail[tap.at..], dt, normal_capacity);
             stats.folded_lane_steps += (tail.len() - pos) as u64;
-            return summary_of(ctrl, &fold, dt);
+            return lane.summary(&fold, dt);
         }
-        let mut ctrl = ctrl.clone_with_strategy(Box::new(FixedBound::new(bound)));
+        let mut lane = lane.fork(bound);
         let mut fold = fold.clone();
         let mut term = terminated;
         let tail_inert = tail
@@ -726,24 +746,23 @@ pub(crate) fn run_bound_batch_tapped(
             .map_or(0, |last| last + 1);
         let mut j = tap.at;
         while j < tail.len() {
-            if (j >= tail_inert || term) && fold_safe(&mut ctrl) {
+            if (j >= tail_inert || term) && fold_safe(&mut lane.facility) {
                 fold.fold_span(&tail[j..], dt, normal_capacity);
                 stats.folded_lane_steps += (tail.len() - j) as u64;
                 break;
             }
-            let rec =
-                ctrl.step_observed_with_sink(tail[j], &nominal_observation(tail[j]), dt, &mut fold);
+            let rec = lane.step(tail[j], &nominal_observation(tail[j]), dt, &mut fold);
             stats.live_lane_steps += 1;
             if rec.tripped || rec.overheated {
                 term = true;
             }
             j += 1;
         }
-        summary_of(&ctrl, &fold, dt)
+        lane.summary(&fold, dt)
     }
 
     // --- Phase A: shared prefix (and the whole run when no fork happens) --
-    let mut rep = SprintController::new(spec, config, Box::new(FixedBound::new(bounds[0])));
+    let mut rep = Lane::new(spec, config, bounds[0]);
     let mut rep_fold = SummaryFold::new();
     let mut rep_terminated = false;
     let mut rep_frozen_at: Option<usize> = None;
@@ -787,13 +806,12 @@ pub(crate) fn run_bound_batch_tapped(
             let taps_ok = tap_order[next_tap..]
                 .iter()
                 .all(|&t| rep_terminated || tail_quiet[t]);
-            if (quiet_ok || term_ok) && taps_ok && fold_safe(&mut rep) {
+            if (quiet_ok || term_ok) && taps_ok && fold_safe(&mut rep.facility) {
                 rep_frozen_at = Some(i);
             }
         }
         if rep_frozen_at.is_none() {
-            let rec =
-                rep.step_observed_with_sink(shared.demands[i], &shared.obs[i], dt, &mut rep_fold);
+            let rec = rep.step(shared.demands[i], &shared.obs[i], dt, &mut rep_fold);
             stats.live_lane_steps += 1;
             if rec.tripped || rec.overheated {
                 rep_terminated = true;
@@ -808,7 +826,9 @@ pub(crate) fn run_bound_batch_tapped(
     // block resolves its lanes' taps independently; tap order within a
     // lane (ascending `at`) is preserved per block. ------------------------
     if forked {
-        let primed = rep.energy_budget_under(&shared.obs[fork_at].active, dt);
+        rep.facility
+            .apply_deratings(&shared.obs[fork_at].active, dt);
+        let primed = rep.facility.total_energy_budget();
         let lane_ids: Vec<usize> = (0..bounds.len())
             .filter(|&l| !pending[l].is_empty())
             .collect();
@@ -858,7 +878,7 @@ pub(crate) fn run_bound_batch_tapped(
                     resolved.push((
                         t,
                         resolve_tap(
-                            &block.ctrls[slot],
+                            &block.lanes[slot],
                             &fold,
                             block.terminated.get(slot),
                             frozen_at[slot].unwrap_or(i),
@@ -895,7 +915,7 @@ pub(crate) fn run_bound_batch_tapped(
                         .all(|&t| block.terminated.get(slot) || tail_quiet[t]);
                     if (quiet_ok || (exempt && nominal_ok))
                         && taps_ok
-                        && fold_safe(&mut block.ctrls[slot])
+                        && fold_safe(&mut block.lanes[slot].facility)
                     {
                         frozen_at[slot] = Some(i);
                         continue;

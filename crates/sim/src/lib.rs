@@ -1,7 +1,8 @@
 //! Datacenter-level simulation harness for Data Center Sprinting.
 //!
-//! This crate drives the [`dcs_core::SprintController`] with demand traces
-//! and computes the paper's metrics. It provides:
+//! This crate drives the step kernel ([`dcs_core::FacilityState`] under a
+//! [`dcs_core::SprintPolicy`], through [`dcs_core::step_cycle`]) with
+//! demand traces and computes the paper's metrics. It provides:
 //!
 //! * [`Scenario`] — a facility spec + controller config + demand trace;
 //! * [`run`] — simulate a scenario under any sprinting-degree strategy,
@@ -18,9 +19,9 @@
 //! * [`oracle_search`] — the Oracle strategy: a pruned search over
 //!   constant sprinting-degree bounds (Fig. 9/10's "O" bars), with
 //!   [`oracle_search_exhaustive`] as the historical full-grid fallback;
-//! * [`run_summary`] / [`Telemetry::Aggregate`] — the lean-telemetry fast
-//!   path: the identical controller-step sequence without materializing
-//!   per-step records, for search loops that only consume aggregates;
+//! * [`run_summary_with_faults`] — the lean-telemetry fast path: the
+//!   identical controller-step sequence without materializing per-step
+//!   records, for search loops that only consume aggregates;
 //! * [`build_upper_bound_table`] — the Oracle-built table the Prediction
 //!   strategy consumes (§V-A);
 //! * [`run_bound_batch`] — the batched multi-lane engine: one pass over
@@ -42,8 +43,8 @@
 //!   snapshots of completed lanes/cells so a killed provisioning sweep
 //!   resumes from its last snapshot with bit-identical results;
 //! * [`SimError`] — the typed error taxonomy (config / I/O / physics /
-//!   harness) behind the fallible `try_*` entry points and the bench
-//!   binaries' distinct exit codes.
+//!   harness) behind the resumable searches, the supervised executor and
+//!   the bench binaries' distinct exit codes.
 //!
 //! # Examples
 //!
@@ -81,7 +82,7 @@ mod sweep;
 mod table_builder;
 mod uncontrolled;
 
-pub use batch::{run_bound_batch, try_run_bound_batch, BatchOutcome, BatchStats};
+pub use batch::{run_bound_batch, BatchOutcome, BatchStats};
 pub use capped::{run_power_capped, CappedPolicy};
 pub use checkpoint::{
     fingerprint_of, fnv1a64, CheckpointStore, LoadedSnapshot, SkippedSnapshot, CHECKPOINT_SCHEMA,
@@ -93,9 +94,7 @@ pub use oracle::{
     OracleMode, OracleOutcome,
 };
 pub use runner::{
-    run, run_no_sprint, run_no_sprint_with_faults, run_summary, run_summary_with_faults,
-    run_with_faults, run_with_options, try_run, try_run_summary, try_run_with_faults,
-    try_run_with_options, RunOptions, SimOutput, Telemetry,
+    run, run_no_sprint, run_no_sprint_with_faults, run_summary_with_faults, run_with_faults,
 };
 pub use scenario::{Scenario, SimResult, SimSummary};
 pub use sink::{RecordSink, SummaryFold};

@@ -31,7 +31,7 @@ pub enum OracleMode {
     /// Prune the grid before running: bounds too loose to ever bind are
     /// collapsed into one representative, and the remaining profile —
     /// empirically unimodal in the bound — is scanned coarse-to-fine with
-    /// lean ([`crate::Telemetry::Aggregate`]) runs. Produces the same
+    /// lean ([`crate::run_summary_with_faults`]) runs. Produces the same
     /// `best_bound` as [`OracleMode::Exhaustive`] whenever the profile is
     /// unimodal (plateaus included), at a fraction of the simulated work.
     #[default]
@@ -294,9 +294,13 @@ pub fn oracle_search_resumable(
 }
 
 /// The pre-batching reference implementation: every evaluation is an
-/// independent run. Kept (and exercised by the unit tests, the hyperscale
-/// equivalence test and the benchmark's correctness gates) as the ground
-/// truth the batched search must match bit-for-bit.
+/// independent run.
+///
+/// This is an equality reference, not product: it is kept only as the
+/// ground truth the batched search must match bit-for-bit, for the unit
+/// tests, the hyperscale equivalence test and the benchmark's correctness
+/// gates. Plan with [`oracle_search`] or [`oracle_search_stats`]; this
+/// function gets no new variants.
 ///
 /// # Panics
 ///
@@ -519,7 +523,7 @@ pub(crate) fn scan_plan(
 /// bound and the evaluated `(bound, average performance)` pairs, without
 /// the final full-telemetry run (the table builder wants only the bound).
 ///
-/// Evaluations use [`crate::Telemetry::Aggregate`] runs, whose average
+/// Evaluations use lean [`crate::run_summary_with_faults`] runs, whose average
 /// performance is bit-identical to a full run's.
 pub(crate) fn pruned_scan(scenario: &Scenario, faults: &FaultSchedule) -> (Ratio, Vec<(f64, f64)>) {
     let plan = scan_plan(scenario.spec(), scenario.trace(), faults);

@@ -1,65 +1,12 @@
 //! Scenario execution.
 
-use crate::error::SimError;
 use crate::sink::{RecordSink, SummaryFold};
 use crate::{Scenario, SimResult, SimSummary};
-use dcs_core::{FixedBound, SprintController, SprintStrategy};
-use dcs_faults::FaultSchedule;
-use dcs_units::Ratio;
-use serde::{Deserialize, Serialize};
-
-/// How much telemetry a run materializes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Telemetry {
-    /// Keep the per-step [`dcs_core::StepRecord`] vector (the default;
-    /// bit-identical to the historical behavior of [`run`]).
-    #[default]
-    Full,
-    /// Skip per-step records and fold only what the searches consume —
-    /// admission accounting, the energy split, trip/overheat flags, and
-    /// the peak degree — into a [`SimSummary`]. The controller-step
-    /// sequence is identical to [`Telemetry::Full`]; only the recording
-    /// differs.
-    Aggregate,
-}
-
-/// Options for [`run_with_options`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct RunOptions {
-    /// Telemetry mode.
-    pub telemetry: Telemetry,
-}
-
-/// The outcome of [`run_with_options`]: full telemetry or a lean summary,
-/// depending on [`RunOptions::telemetry`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimOutput {
-    /// A [`Telemetry::Full`] run.
-    Full(SimResult),
-    /// A [`Telemetry::Aggregate`] run.
-    Aggregate(SimSummary),
-}
-
-impl SimOutput {
-    /// Collapses either variant into a [`SimSummary`]. Exact in both cases:
-    /// an aggregate run folds the same per-step values a full run records.
-    #[must_use]
-    pub fn into_summary(self) -> SimSummary {
-        match self {
-            SimOutput::Full(result) => result.summarize(),
-            SimOutput::Aggregate(summary) => summary,
-        }
-    }
-
-    /// Returns the full result, if this was a [`Telemetry::Full`] run.
-    #[must_use]
-    pub fn into_result(self) -> Option<SimResult> {
-        match self {
-            SimOutput::Full(result) => Some(result),
-            SimOutput::Aggregate(_) => None,
-        }
-    }
-}
+use dcs_core::{
+    step_cycle, FacilityState, FixedBound, SprintPolicy, SprintStrategy, StepInput, StepSink,
+};
+use dcs_faults::{FaultObserver, FaultSchedule};
+use dcs_units::{Energy, Ratio};
 
 /// Simulates a scenario under the given strategy.
 ///
@@ -79,137 +26,68 @@ pub fn run_with_faults(
     strategy: Box<dyn SprintStrategy>,
     faults: &FaultSchedule,
 ) -> SimResult {
-    match run_with_options(scenario, strategy, faults, RunOptions::default()) {
-        SimOutput::Full(result) => result,
-        SimOutput::Aggregate(_) => unreachable!("default options request full telemetry"),
+    let mut sink = RecordSink::with_capacity(scenario.trace().len());
+    let (strategy, (cb_energy, ups_energy, tes_energy)) =
+        drive(scenario, strategy, faults, &mut sink);
+    SimResult {
+        strategy,
+        step: scenario.trace().step(),
+        records: sink.records,
+        admission: sink.admission,
+        cb_energy,
+        ups_energy,
+        tes_energy,
     }
 }
 
-/// Simulates a scenario in [`Telemetry::Aggregate`] mode: no per-step
-/// record vector, just the lean [`SimSummary`] the searches consume.
-#[must_use]
-pub fn run_summary(scenario: &Scenario, strategy: Box<dyn SprintStrategy>) -> SimSummary {
-    run_summary_with_faults(scenario, strategy, &FaultSchedule::NONE)
-}
-
-/// [`run_summary`] with an injected fault schedule.
+/// Simulates a scenario keeping only the lean [`SimSummary`] the searches
+/// consume: no per-step record vector. The step sequence is the one
+/// [`run_with_faults`] drives, so the result equals its summary exactly.
 #[must_use]
 pub fn run_summary_with_faults(
     scenario: &Scenario,
     strategy: Box<dyn SprintStrategy>,
     faults: &FaultSchedule,
 ) -> SimSummary {
-    run_with_options(
-        scenario,
-        strategy,
-        faults,
-        RunOptions {
-            telemetry: Telemetry::Aggregate,
-        },
-    )
-    .into_summary()
+    let mut fold = SummaryFold::new();
+    let (strategy, split) = drive(scenario, strategy, faults, &mut fold);
+    fold.summarize(strategy, scenario.trace().step(), split)
 }
 
-/// Simulates a scenario with explicit run options.
+/// Drives `strategy` over the scenario's trace, one kernel cycle per
+/// sample, handing every finished step to `sink`. Faults are looked up at
+/// the facility's clock and pass through one [`FaultObserver`], so the
+/// sensor-noise stream is the run's own. Returns the strategy name and the
+/// lifetime additional-energy split.
 ///
-/// Both telemetry modes drive the identical kernel-step sequence and
-/// differ only in the [`dcs_core::StepSink`] the steps feed — a
-/// [`RecordSink`] for full telemetry, a [`SummaryFold`] for the lean
-/// aggregates. The borrowed spec/config/faults are never cloned, so
-/// search loops (the Oracle, the table builder) pay no per-run setup
-/// beyond plant construction.
-#[must_use]
-pub fn run_with_options(
-    scenario: &Scenario,
+/// The borrowed spec, config and faults are never cloned, so search loops
+/// (the Oracle, the table builder) pay no per-run setup beyond plant
+/// construction.
+fn drive<'s, K>(
+    scenario: &'s Scenario,
     strategy: Box<dyn SprintStrategy>,
     faults: &FaultSchedule,
-    options: RunOptions,
-) -> SimOutput {
-    let mut controller =
-        SprintController::new(scenario.spec(), scenario.config(), strategy).with_faults(faults);
-    let strategy_name = controller.strategy_name().to_owned();
+    sink: &mut K,
+) -> (String, (Energy, Energy, Energy))
+where
+    K: StepSink<FacilityState<'s>>,
+{
+    let mut facility = FacilityState::new(scenario.spec(), scenario.config());
+    let mut policy = SprintPolicy::new(strategy, scenario.spec());
+    let mut observer = FaultObserver::new();
     let dt = scenario.trace().step();
-    match options.telemetry {
-        Telemetry::Full => {
-            let mut sink = RecordSink::with_capacity(scenario.trace().len());
-            for (_, demand) in scenario.trace().iter() {
-                controller.step_with_sink(demand, dt, &mut sink);
-            }
-            let (cb_energy, ups_energy, tes_energy) = controller.energy_split();
-            SimOutput::Full(SimResult {
-                strategy: strategy_name,
-                step: dt,
-                records: sink.records,
-                admission: sink.admission,
-                cb_energy,
-                ups_energy,
-                tes_energy,
-            })
-        }
-        Telemetry::Aggregate => {
-            let mut fold = SummaryFold::new();
-            for (_, demand) in scenario.trace().iter() {
-                controller.step_with_sink(demand, dt, &mut fold);
-            }
-            SimOutput::Aggregate(fold.summarize(strategy_name, dt, controller.energy_split()))
-        }
+    for (_, demand) in scenario.trace().iter() {
+        let time = facility.now();
+        let active = faults.active_at(time);
+        let input = StepInput {
+            time,
+            demand,
+            observation: observer.observe(demand, &active),
+            dt,
+        };
+        step_cycle(&mut facility, &mut policy, &input, sink);
     }
-}
-
-/// Fallible [`run`]: returns a typed error instead of panicking on bad
-/// inputs. With no fault schedule in play, only scenario-level problems
-/// can surface.
-pub fn try_run(
-    scenario: &Scenario,
-    strategy: Box<dyn SprintStrategy>,
-) -> Result<SimResult, SimError> {
-    try_run_with_faults(scenario, strategy, &FaultSchedule::NONE)
-}
-
-/// Fallible [`run_with_faults`]: a malformed fault schedule (inverted
-/// window, out-of-range severity) returns [`SimError::Faults`] instead of
-/// panicking inside the plant models.
-pub fn try_run_with_faults(
-    scenario: &Scenario,
-    strategy: Box<dyn SprintStrategy>,
-    faults: &FaultSchedule,
-) -> Result<SimResult, SimError> {
-    try_run_with_options(scenario, strategy, faults, RunOptions::default()).map(|out| match out {
-        SimOutput::Full(result) => result,
-        SimOutput::Aggregate(_) => unreachable!("default options request full telemetry"),
-    })
-}
-
-/// Fallible [`run_summary_with_faults`].
-pub fn try_run_summary(
-    scenario: &Scenario,
-    strategy: Box<dyn SprintStrategy>,
-    faults: &FaultSchedule,
-) -> Result<SimSummary, SimError> {
-    try_run_with_options(
-        scenario,
-        strategy,
-        faults,
-        RunOptions {
-            telemetry: Telemetry::Aggregate,
-        },
-    )
-    .map(SimOutput::into_summary)
-}
-
-/// Fallible [`run_with_options`]: validates inputs up front and returns a
-/// typed [`SimError`] instead of panicking.
-pub fn try_run_with_options(
-    scenario: &Scenario,
-    strategy: Box<dyn SprintStrategy>,
-    faults: &FaultSchedule,
-    options: RunOptions,
-) -> Result<SimOutput, SimError> {
-    faults.validate().map_err(SimError::faults)?;
-    if scenario.trace().is_empty() {
-        return Err(SimError::config("scenario trace has no samples"));
-    }
-    Ok(run_with_options(scenario, strategy, faults, options))
+    (policy.strategy_name().to_owned(), facility.energy_split())
 }
 
 /// Simulates the no-sprint baseline: the facility never activates extra
@@ -290,29 +168,7 @@ mod tests {
     fn aggregate_run_equals_summarized_full_run() {
         let s = scenario(3.2, 15.0);
         let full = run(&s, Box::new(Greedy));
-        let lean = run_summary(&s, Box::new(Greedy));
+        let lean = run_summary_with_faults(&s, Box::new(Greedy), &FaultSchedule::NONE);
         assert_eq!(lean, full.summarize());
-    }
-
-    #[test]
-    fn sim_output_accessors() {
-        let s = scenario(3.0, 1.0);
-        let out = run_with_options(
-            &s,
-            Box::new(Greedy),
-            &FaultSchedule::NONE,
-            RunOptions::default(),
-        );
-        assert!(out.clone().into_result().is_some());
-        let lean = run_with_options(
-            &s,
-            Box::new(Greedy),
-            &FaultSchedule::NONE,
-            RunOptions {
-                telemetry: Telemetry::Aggregate,
-            },
-        );
-        assert!(lean.clone().into_result().is_none());
-        assert_eq!(lean.into_summary(), out.into_summary());
     }
 }

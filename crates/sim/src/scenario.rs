@@ -44,16 +44,6 @@ impl Scenario {
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
-
-    /// Returns a copy with a different trace.
-    #[must_use]
-    pub fn with_trace(&self, trace: Trace) -> Scenario {
-        Scenario {
-            spec: self.spec.clone(),
-            config: self.config.clone(),
-            trace,
-        }
-    }
 }
 
 /// The outcome of one simulated run.
@@ -229,9 +219,9 @@ impl SimResult {
             .fold(0.0, f64::max)
     }
 
-    /// Collapses the full-telemetry result into the lean [`SimSummary`] an
-    /// [`Aggregate`](crate::Telemetry::Aggregate)-mode run would have
-    /// produced directly. The equivalence is exact (not approximate): both
+    /// Collapses the full-telemetry result into the lean [`SimSummary`] a
+    /// [`run_summary_with_faults`](crate::run_summary_with_faults) run would
+    /// have produced directly. The equivalence is exact (not approximate): both
     /// paths drive the identical controller-step sequence and fold the same
     /// per-step values.
     #[must_use]
@@ -254,8 +244,8 @@ impl SimResult {
 /// The lean outcome of one simulated run: everything the searches consume,
 /// with no per-step record vector.
 ///
-/// Produced directly by [`Aggregate`](crate::Telemetry::Aggregate)-mode
-/// runs (which never materialize [`StepRecord`]s) or derived from a full
+/// Produced directly by [`run_summary_with_faults`](crate::run_summary_with_faults)
+/// (which never materializes [`StepRecord`]s) or derived from a full
 /// result via [`SimResult::summarize`]; the two are exactly equal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimSummary {

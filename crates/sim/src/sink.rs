@@ -5,9 +5,9 @@
 //! the repository's three telemetry shapes:
 //!
 //! * [`RecordSink`] — the full per-step [`StepRecord`] vector plus
-//!   admission accounting (`Telemetry::Full`);
+//!   admission accounting ([`run_with_faults`](crate::run_with_faults));
 //! * [`SummaryFold`] — the lean accumulation the searches consume
-//!   (`Telemetry::Aggregate`), also used as the batched lanes' per-lane
+//!   ([`run_summary_with_faults`](crate::run_summary_with_faults)), also used as the batched lanes' per-lane
 //!   tap and as the arithmetic fold target for retired lanes;
 //! * `NullSink` (re-exported from `dcs_core`) — keep nothing; drivers
 //!   consume each step's returned record directly.

@@ -320,9 +320,13 @@ fn try_validate_axes(durations_min: &[f64], degrees: &[f64]) -> Result<(), SimEr
 }
 
 /// The pre-batching reference implementation: every cell is an independent
-/// Oracle search, every evaluation an independent run. Kept (and exercised
-/// by the unit tests, the hyperscale equivalence test and the benchmark's
-/// correctness gates) as the ground truth the batched build must match.
+/// Oracle search, every evaluation an independent run.
+///
+/// This is an equality reference, not product: it is kept only as the
+/// ground truth the batched build must match, for the unit tests, the
+/// hyperscale equivalence test and the benchmark's correctness gates.
+/// Build tables with [`build_upper_bound_table`] or
+/// [`build_upper_bound_table_stats`]; this function gets no new variants.
 ///
 /// # Panics
 ///

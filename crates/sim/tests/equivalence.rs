@@ -60,7 +60,7 @@ fn strategies() -> [StrategyCtor; 3] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A lean ([`dcs_sim::Telemetry::Aggregate`]) run equals the summary of
+    /// A lean ([`dcs_sim::run_summary_with_faults`]) run equals the summary of
     /// a full run *exactly* — same admission accounting, same energy split,
     /// same flags — across strategies and bursty scenarios.
     #[test]
@@ -72,7 +72,7 @@ proptest! {
         let s = scenario(seed, degree, minutes);
         for make in strategies() {
             let full = dcs_sim::run(&s, make());
-            let lean = dcs_sim::run_summary(&s, make());
+            let lean = dcs_sim::run_summary_with_faults(&s, make(), &FaultSchedule::NONE);
             prop_assert_eq!(&lean.strategy, &full.strategy);
             prop_assert_eq!(lean, full.summarize());
         }
@@ -83,7 +83,7 @@ proptest! {
     fn lean_run_equals_full_summary_when_quiet(seed in 0u64..64) {
         let s = quiet_scenario(seed);
         let full = dcs_sim::run(&s, Box::new(Greedy));
-        let lean = dcs_sim::run_summary(&s, Box::new(Greedy));
+        let lean = dcs_sim::run_summary_with_faults(&s, Box::new(Greedy), &FaultSchedule::NONE);
         prop_assert_eq!(lean, full.summarize());
     }
 

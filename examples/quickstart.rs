@@ -5,7 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use datacenter_sprinting::core::{ControllerConfig, Greedy, SprintController};
+use datacenter_sprinting::core::{
+    step_cycle, ControllerConfig, FacilityState, Greedy, NullSink, SprintPolicy, StepInput,
+};
 use datacenter_sprinting::power::DataCenterSpec;
 use datacenter_sprinting::units::Seconds;
 
@@ -20,8 +22,11 @@ fn main() {
         spec.dc_rated()
     );
 
+    // The plant (breakers, UPS fleet, cooling, TES, room) and the
+    // three-phase policy that decides each period's core count for it.
     let config = ControllerConfig::default();
-    let mut controller = SprintController::new(&spec, &config, Box::new(Greedy));
+    let mut facility = FacilityState::new(&spec, &config);
+    let mut policy = SprintPolicy::new(Box::new(Greedy), &spec);
 
     // Two quiet minutes, a six-minute burst at 2.5x capacity, two quiet
     // minutes to recover.
@@ -37,7 +42,8 @@ fn main() {
     println!("\n  time    demand  served  cores  phase            temp");
     for step in 0..600 {
         let t = f64::from(step);
-        let record = controller.step(demand_at(t), dt);
+        let input = StepInput::nominal(facility.now(), demand_at(t), dt);
+        let record = step_cycle(&mut facility, &mut policy, &input, &mut NullSink).record;
         if step % 30 == 0 {
             println!(
                 "  {:>6}  {:>6.2}  {:>6.2}  {:>5}  {:<15}  {}",
@@ -52,10 +58,10 @@ fn main() {
         assert!(!record.tripped, "a controlled sprint never trips a breaker");
     }
 
-    let (cb, ups, tes) = controller.energy_split();
+    let (cb, ups, tes) = facility.energy_split();
     println!("\nadditional energy drawn:  CB overload {cb},  UPS {ups},  TES heat {tes}");
     println!(
         "UPS state of charge after the burst: {}",
-        controller.ups().state_of_charge()
+        facility.ups().state_of_charge()
     );
 }

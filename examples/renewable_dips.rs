@@ -12,7 +12,9 @@
 //! cargo run --release --example renewable_dips
 //! ```
 
-use datacenter_sprinting::core::{ControllerConfig, Greedy, SprintController};
+use datacenter_sprinting::core::{
+    step_cycle, ControllerConfig, FacilityState, Greedy, NullSink, SprintPolicy, StepInput,
+};
 use datacenter_sprinting::power::DataCenterSpec;
 use datacenter_sprinting::units::{Ratio, Seconds};
 
@@ -23,7 +25,8 @@ fn main() {
     // renewable feed normally covers.
     let spec = DataCenterSpec::paper_default().with_dc_headroom(Ratio::ZERO);
     let config = ControllerConfig::default();
-    let mut controller = SprintController::new(&spec, &config, Box::new(Greedy));
+    let mut facility = FacilityState::new(&spec, &config);
+    let mut policy = SprintPolicy::new(Box::new(Greedy), &spec);
 
     // Demand bursts to 1.4x right as the facility is at its tightest.
     let dt = Seconds::new(1.0);
@@ -35,7 +38,8 @@ fn main() {
         } else {
             0.95
         };
-        let record = controller.step(demand, dt);
+        let input = StepInput::nominal(facility.now(), demand, dt);
+        let record = step_cycle(&mut facility, &mut policy, &input, &mut NullSink).record;
         assert!(!record.tripped, "ESD coordination must prevent trips");
         if step % 60 == 0 {
             println!(
@@ -43,7 +47,7 @@ fn main() {
                 step,
                 record.demand,
                 record.served,
-                controller.ups().status().on_battery,
+                facility.ups().status().on_battery,
                 record.phase
             );
         }
@@ -51,6 +55,6 @@ fn main() {
     println!(
         "\nwith zero headroom the breakers alone cannot even carry a 1.4x burst; \
          the UPS fleet absorbs the difference ({} of charge spent)",
-        controller.ups().discharged_fraction()
+        facility.ups().discharged_fraction()
     );
 }

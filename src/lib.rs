@@ -9,14 +9,18 @@
 //! # Examples
 //!
 //! ```
-//! use datacenter_sprinting::core::{ControllerConfig, Greedy, SprintController};
+//! use datacenter_sprinting::core::{
+//!     step_cycle, ControllerConfig, FacilityState, Greedy, NullSink, SprintPolicy, StepInput,
+//! };
 //! use datacenter_sprinting::power::DataCenterSpec;
 //! use datacenter_sprinting::units::Seconds;
 //!
 //! let spec = DataCenterSpec::paper_default().with_scale(2, 200);
 //! let config = ControllerConfig::default();
-//! let mut ctl = SprintController::new(&spec, &config, Box::new(Greedy));
-//! let record = ctl.step(2.0, Seconds::new(1.0));
+//! let mut facility = FacilityState::new(&spec, &config);
+//! let mut policy = SprintPolicy::new(Box::new(Greedy), &spec);
+//! let input = StepInput::nominal(facility.now(), 2.0, Seconds::new(1.0));
+//! let record = step_cycle(&mut facility, &mut policy, &input, &mut NullSink).record;
 //! assert!(record.served > 1.0);
 //! ```
 

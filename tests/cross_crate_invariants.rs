@@ -2,7 +2,10 @@
 //! properties that must hold across the controller, the power topology,
 //! the stores and the thermal plant together.
 
-use datacenter_sprinting::core::{ControllerConfig, FixedBound, Greedy, SprintController};
+use datacenter_sprinting::core::{
+    step_cycle, ControllerConfig, FacilityState, FixedBound, Greedy, NullSink, SprintPolicy,
+    StepInput, StepRecord,
+};
 use datacenter_sprinting::power::DataCenterSpec;
 use datacenter_sprinting::units::{Energy, Power, Ratio, Seconds};
 use datacenter_sprinting::workload::ms_trace;
@@ -11,16 +14,23 @@ fn spec() -> DataCenterSpec {
     DataCenterSpec::paper_default().with_scale(4, 200)
 }
 
+/// One fault-free one-second control period through the step kernel.
+fn step(facility: &mut FacilityState<'_>, policy: &mut SprintPolicy, demand: f64) -> StepRecord {
+    let input = StepInput::nominal(facility.now(), demand, Seconds::new(1.0));
+    step_cycle(facility, policy, &input, &mut NullSink).record
+}
+
 /// IT power is conserved: PDU-delivered power plus UPS power covers the
 /// servers' draw every step.
 #[test]
 fn it_power_is_conserved_each_step() {
     let spec = spec();
     let config = ControllerConfig::default();
-    let mut ctl = SprintController::new(&spec, &config, Box::new(Greedy));
+    let mut facility = FacilityState::new(&spec, &config);
+    let mut policy = SprintPolicy::new(Box::new(Greedy), &spec);
     let trace = ms_trace::paper_default();
     for (_, demand) in trace.iter() {
-        let r = ctl.step(demand, Seconds::new(1.0));
+        let r = step(&mut facility, &mut policy, demand);
         // cb_extra_power is net-of-UPS power above peak normal; reconstruct
         // the PDU draw and compare against IT power.
         let pdu_drawn = r.it_power - r.ups_power;
@@ -47,13 +57,14 @@ fn ups_energy_accounting_is_consistent() {
         recharge_when_quiet: false,
         ..ControllerConfig::default()
     };
-    let mut ctl = SprintController::new(&spec, &config, Box::new(Greedy));
-    let full = ctl.ups().deliverable();
+    let mut facility = FacilityState::new(&spec, &config);
+    let mut policy = SprintPolicy::new(Box::new(Greedy), &spec);
+    let full = facility.ups().deliverable();
     for (_, demand) in ms_trace::paper_default().iter() {
-        ctl.step(demand, Seconds::new(1.0));
+        step(&mut facility, &mut policy, demand);
     }
-    let (_, delivered, _) = ctl.energy_split();
-    let drained = full - ctl.ups().deliverable();
+    let (_, delivered, _) = facility.energy_split();
+    let drained = full - facility.ups().deliverable();
     // Delivered energy can never exceed what left the batteries.
     assert!(delivered <= drained + Energy::from_joules(1.0));
     // And the books must be close: everything drained was delivered.
@@ -71,13 +82,14 @@ fn tes_heat_accounting_is_consistent() {
         recharge_when_quiet: false,
         ..ControllerConfig::default()
     };
-    let mut ctl = SprintController::new(&spec, &config, Box::new(Greedy));
-    let full = ctl.tes().stored();
+    let mut facility = FacilityState::new(&spec, &config);
+    let mut policy = SprintPolicy::new(Box::new(Greedy), &spec);
+    let full = facility.tes().stored();
     for (_, demand) in ms_trace::paper_default().iter() {
-        ctl.step(demand, Seconds::new(1.0));
+        step(&mut facility, &mut policy, demand);
     }
-    let tes_heat = ctl.tes_heat_total();
-    let drained = full - ctl.tes().stored();
+    let tes_heat = facility.tes_heat_total();
+    let drained = full - facility.tes().stored();
     assert!(
         (drained - tes_heat).as_joules().abs() < 1.0,
         "TES drained {drained} vs ledger {tes_heat}"
@@ -91,9 +103,10 @@ fn served_and_degree_respect_their_bounds() {
     let bound = Ratio::new(2.5);
     let spec = spec();
     let config = ControllerConfig::default();
-    let mut ctl = SprintController::new(&spec, &config, Box::new(FixedBound::new(bound)));
+    let mut facility = FacilityState::new(&spec, &config);
+    let mut policy = SprintPolicy::new(Box::new(FixedBound::new(bound)), &spec);
     for (_, demand) in ms_trace::paper_default().iter() {
-        let r = ctl.step(demand, Seconds::new(1.0));
+        let r = step(&mut facility, &mut policy, demand);
         let capacity = spec.server().capacity_at_cores(r.cores);
         assert!(r.served <= capacity + 1e-9);
         assert!(r.served <= r.demand + 1e-9);
@@ -108,10 +121,11 @@ fn served_and_degree_respect_their_bounds() {
 fn breakers_never_approach_a_trip() {
     let spec = spec();
     let config = ControllerConfig::default();
-    let mut ctl = SprintController::new(&spec, &config, Box::new(Greedy));
+    let mut facility = FacilityState::new(&spec, &config);
+    let mut policy = SprintPolicy::new(Box::new(Greedy), &spec);
     for (_, demand) in ms_trace::paper_default().iter() {
-        ctl.step(demand, Seconds::new(1.0));
-        let status = ctl.topology().status();
+        step(&mut facility, &mut policy, demand);
+        let status = facility.topology().status();
         assert!(!status.any_tripped);
         assert!(status.dc_progress < 1.0);
         assert!(status.max_pdu_progress < 1.0);
@@ -123,13 +137,14 @@ fn breakers_never_approach_a_trip() {
 fn room_stays_below_threshold() {
     let spec = spec();
     let config = ControllerConfig::default();
-    let mut ctl = SprintController::new(&spec, &config, Box::new(Greedy));
+    let mut facility = FacilityState::new(&spec, &config);
+    let mut policy = SprintPolicy::new(Box::new(Greedy), &spec);
     for (_, demand) in ms_trace::paper_default().iter() {
-        let r = ctl.step(demand, Seconds::new(1.0));
+        let r = step(&mut facility, &mut policy, demand);
         assert!(
-            ctl.room().temperature() < ctl.room().threshold(),
+            facility.room().temperature() < facility.room().threshold(),
             "room at {} at time {}",
-            ctl.room().temperature(),
+            facility.room().temperature(),
             r.time
         );
     }
@@ -145,10 +160,11 @@ fn normalized_performance_is_scale_invariant() {
     for pdus in [2usize, 8] {
         let s = DataCenterSpec::paper_default().with_scale(pdus, 200);
         let config = ControllerConfig::default();
-        let mut ctl = SprintController::new(&s, &config, Box::new(Greedy));
+        let mut facility = FacilityState::new(&s, &config);
+        let mut policy = SprintPolicy::new(Box::new(Greedy), &s);
         let mut served_sum = 0.0;
         for (_, demand) in trace.iter() {
-            served_sum += ctl.step(demand, Seconds::new(1.0)).served;
+            served_sum += step(&mut facility, &mut policy, demand).served;
         }
         results.push(served_sum);
     }

@@ -1,10 +1,19 @@
 //! Property-based end-to-end tests: random burst profiles and facility
 //! configurations must never violate the controller's safety contract.
 
-use datacenter_sprinting::core::{ControllerConfig, FixedBound, Greedy, SprintController};
+use datacenter_sprinting::core::{
+    step_cycle, ControllerConfig, FacilityState, FixedBound, Greedy, NullSink, SprintPolicy,
+    StepInput, StepRecord,
+};
 use datacenter_sprinting::power::DataCenterSpec;
 use datacenter_sprinting::units::{Charge, Ratio, Seconds};
 use proptest::prelude::*;
+
+/// One fault-free one-second control period through the step kernel.
+fn step(facility: &mut FacilityState<'_>, policy: &mut SprintPolicy, demand: f64) -> StepRecord {
+    let input = StepInput::nominal(facility.now(), demand, Seconds::new(1.0));
+    step_cycle(facility, policy, &input, &mut NullSink).record
+}
 
 fn random_trace() -> impl Strategy<Value = Vec<f64>> {
     // Piecewise demand: a handful of segments, each a level in [0, 4.5]
@@ -26,9 +35,10 @@ proptest! {
     fn controller_is_safe_on_random_demand(samples in random_trace()) {
         let spec = DataCenterSpec::paper_default().with_scale(2, 200);
         let config = ControllerConfig::default();
-        let mut ctl = SprintController::new(&spec, &config, Box::new(Greedy));
+        let mut facility = FacilityState::new(&spec, &config);
+        let mut policy = SprintPolicy::new(Box::new(Greedy), &spec);
         for &demand in &samples {
-            let r = ctl.step(demand, Seconds::new(1.0));
+            let r = step(&mut facility, &mut policy, demand);
             prop_assert!(!r.tripped, "tripped at {}", r.time);
             prop_assert!(!r.overheated, "overheated at {}", r.time);
             prop_assert!(r.served >= demand.min(1.0) - 1e-9,
@@ -51,9 +61,10 @@ proptest! {
             ups_rating: Charge::from_amp_hours(battery_ah),
             ..ControllerConfig::default()
         };
-        let mut ctl = SprintController::new(&spec, &config, Box::new(Greedy));
+        let mut facility = FacilityState::new(&spec, &config);
+        let mut policy = SprintPolicy::new(Box::new(Greedy), &spec);
         for _ in 0..600 {
-            let r = ctl.step(demand, Seconds::new(1.0));
+            let r = step(&mut facility, &mut policy, demand);
             prop_assert!(!r.tripped && !r.overheated);
             prop_assert!(r.served >= 1.0 - 1e-9);
         }
@@ -69,17 +80,16 @@ proptest! {
         let spec = DataCenterSpec::paper_default().with_scale(2, 200);
         let config = ControllerConfig::default();
         let mk = |bound: f64| {
-            SprintController::new(
-                &spec,
-                &config,
-                Box::new(FixedBound::new(Ratio::new(bound))),
+            (
+                FacilityState::new(&spec, &config),
+                SprintPolicy::new(Box::new(FixedBound::new(Ratio::new(bound))), &spec),
             )
         };
-        let mut tight = mk(lo);
-        let mut loose = mk(lo + hi_extra);
+        let (mut tight, mut tight_policy) = mk(lo);
+        let (mut loose, mut loose_policy) = mk(lo + hi_extra);
         for _ in 0..120 {
-            let a = tight.step(demand, Seconds::new(1.0));
-            let b = loose.step(demand, Seconds::new(1.0));
+            let a = step(&mut tight, &mut tight_policy, demand);
+            let b = step(&mut loose, &mut loose_policy, demand);
             prop_assert!(a.it_power <= b.it_power + datacenter_sprinting::units::Power::from_watts(1e-6));
             prop_assert!(a.served <= b.served + 1e-9);
         }
