@@ -849,6 +849,12 @@ mod tests {
         assert!(r.sprinting, "sprinting must resume after the burst passed");
     }
 
+    #[test]
+    fn debug_impl_mentions_strategy() {
+        let c = small();
+        assert!(format!("{:?}", c.policy).contains("Greedy"));
+    }
+
     fn whole_run(kind: FaultKind) -> FaultSchedule {
         FaultSchedule::new(vec![FaultEvent::new(
             Seconds::ZERO,
