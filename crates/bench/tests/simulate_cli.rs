@@ -192,6 +192,27 @@ fn resume_reproduces_the_oracle_run_exactly() {
 }
 
 #[test]
+fn resumed_run_prints_what_the_plain_run_prints() {
+    for strategy in [
+        r#"{"kind":"oracle"}"#,
+        r#"{"kind":"prediction","minutes":5.0}"#,
+    ] {
+        let path = scratch("plain-vs-resume-cfg");
+        let dir = scratch("plain-vs-resume-ckpt");
+        std::fs::write(&path, tiny_config(strategy)).unwrap();
+        let plain = simulate(&[path.to_str().unwrap()]);
+        let resumed = simulate(&[path.to_str().unwrap(), "--resume", dir.to_str().unwrap()]);
+        for out in [&plain, &resumed] {
+            assert_eq!(out.status.code(), Some(0), "{strategy}: {}", stderr_of(out));
+        }
+        assert!(!stdout_of(&plain).is_empty(), "{strategy}: empty summary");
+        assert_eq!(stdout_of(&plain), stdout_of(&resumed), "{strategy}");
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
 fn resume_without_directory_is_a_usage_error() {
     let out = simulate(&["config.json", "--resume"]);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));

@@ -2,7 +2,7 @@
 //!
 //! The schedules in the crate root degrade the *modeled facility*; the
 //! [`ChaosSchedule`] here degrades the *harness that simulates it*: it
-//! tells a supervised executor (see `dcs_sim::parallel_map_supervised`) to
+//! tells a supervised executor (see `dcs_sim::Supervisor`) to
 //! panic or stall a specific work item on a specific attempt. Like the
 //! plant schedules, chaos is plain data — deterministic, seedable, and
 //! serde round-trippable — so a chaotic run is exactly reproducible.

@@ -17,8 +17,12 @@
 //!   exceeds the rated limits (and never exceeds the NEC headroom's modest
 //!   boost either);
 //! * [`oracle_search`] — the Oracle strategy: a pruned search over
-//!   constant sprinting-degree bounds (Fig. 9/10's "O" bars), with
-//!   [`oracle_search_exhaustive`] as the historical full-grid fallback;
+//!   constant sprinting-degree bounds (Fig. 9/10's "O" bars);
+//!   [`oracle_search_stats`] takes a fault schedule and an [`OracleMode`]
+//!   (`Exhaustive` is the historical full-grid fallback) and returns the
+//!   batch work counters too. Every Oracle entry point, and the table
+//!   builder's exhaustive columns, run one private wave driver over a
+//!   candidate plan; only the evaluator differs;
 //! * [`run_summary_with_faults`] — the lean-telemetry fast path: the
 //!   identical controller-step sequence without materializing per-step
 //!   records, for search loops that only consume aggregates;
@@ -34,10 +38,12 @@
 //! * [`simd`] — the hand-rolled `f64x4` kernel behind the batch engine's
 //!   structure-of-arrays lane accumulators and span folds (bit-identical
 //!   to the scalar path by construction);
-//! * [`parallel_map_supervised`] / [`Supervisor`] — the supervised slow
-//!   path: per-item panic isolation (`catch_unwind`), retries with capped
-//!   exponential backoff, a watchdog-enforced per-item deadline, and a
-//!   structured [`SweepReport`] instead of a blanket abort;
+//! * [`Supervisor`] — the supervised slow path: per-item panic isolation
+//!   (`catch_unwind`), retries with capped exponential backoff, a per-item
+//!   deadline checked when each attempt returns (an overrunning result is
+//!   discarded and retried; nothing is interrupted), and a structured
+//!   [`SweepReport`] instead of a blanket abort. [`Supervisor::map`] runs
+//!   on [`parallel_map`]'s workers; the supervisor starts no threads;
 //! * [`CheckpointStore`] + [`oracle_search_resumable`] /
 //!   [`build_upper_bound_table_resumable`] — atomic, checksummed
 //!   snapshots of completed lanes/cells so a killed provisioning sweep
@@ -89,9 +95,8 @@ pub use checkpoint::{
 };
 pub use error::{SimError, SimErrorClass};
 pub use oracle::{
-    degree_grid, oracle_checkpoint_store, oracle_search, oracle_search_exhaustive,
-    oracle_search_resumable, oracle_search_stats, oracle_search_unbatched, oracle_search_with,
-    OracleMode, OracleOutcome,
+    degree_grid, oracle_checkpoint_store, oracle_search, oracle_search_resumable,
+    oracle_search_stats, oracle_search_unbatched, OracleMode, OracleOutcome,
 };
 pub use runner::{
     run, run_no_sprint, run_no_sprint_with_faults, run_summary_with_faults, run_with_faults,
@@ -99,14 +104,12 @@ pub use runner::{
 pub use scenario::{Scenario, SimResult, SimSummary};
 pub use sink::{RecordSink, SummaryFold};
 pub use supervisor::{
-    parallel_map_supervised, FailureCause, RetryPolicy, Supervisor, SweepFailure, SweepRecovery,
-    SweepReport,
+    FailureCause, RetryPolicy, Supervisor, SweepFailure, SweepRecovery, SweepReport,
 };
 pub use sweep::{machine_parallelism, parallel_map, with_worker_budget};
 pub use table_builder::{
     build_upper_bound_table, build_upper_bound_table_resumable, build_upper_bound_table_stats,
-    build_upper_bound_table_unbatched, build_upper_bound_table_with, table_checkpoint_store,
-    TableBuildStats,
+    build_upper_bound_table_unbatched, table_checkpoint_store, TableBuildStats,
 };
 pub use uncontrolled::{
     run_uncontrolled, UncontrolledMode, UncontrolledPolicy, UncontrolledRecord, UncontrolledResult,

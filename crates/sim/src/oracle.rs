@@ -4,7 +4,9 @@ use crate::batch::{run_bound_batch, BatchStats};
 use crate::checkpoint::{fingerprint_of, fnv1a64, CheckpointStore};
 use crate::error::SimError;
 use crate::supervisor::Supervisor;
-use crate::{parallel_map, run_summary_with_faults, run_with_faults, Scenario, SimResult};
+use crate::{
+    parallel_map, run_summary_with_faults, run_with_faults, Scenario, SimResult, SimSummary,
+};
 use dcs_core::FixedBound;
 use dcs_faults::{FaultKind, FaultSchedule};
 use dcs_units::Ratio;
@@ -68,41 +70,17 @@ pub fn degree_grid(spec: &dcs_power::DataCenterSpec) -> Vec<Ratio> {
 /// Panics if the degree grid is empty (impossible for a valid spec).
 #[must_use]
 pub fn oracle_search(scenario: &Scenario) -> OracleOutcome {
-    oracle_search_with(scenario, &FaultSchedule::NONE, OracleMode::Pruned)
+    oracle_search_stats(scenario, &FaultSchedule::NONE, OracleMode::Pruned).0
 }
 
-/// [`oracle_search`] with the historical exhaustive scan: every grid point
-/// evaluated.
+/// Runs the Oracle search with an explicit fault schedule and search mode,
+/// plus the batch work counters (lane-steps run live versus folded by
+/// early retirement).
 ///
-/// # Panics
-///
-/// Panics if the degree grid is empty (impossible for a valid spec).
-#[must_use]
-pub fn oracle_search_exhaustive(scenario: &Scenario) -> OracleOutcome {
-    oracle_search_with(scenario, &FaultSchedule::NONE, OracleMode::Exhaustive)
-}
-
-/// Runs the Oracle search with an explicit fault schedule and search mode.
-///
-/// Both modes submit their candidate bounds as one
-/// [`run_bound_batch`] per evaluation wave — a single pass over the trace
-/// advances every lane — and finish with one full-telemetry run of the
-/// winner. Results are bit-identical to [`oracle_search_unbatched`].
-///
-/// # Panics
-///
-/// Panics if the degree grid is empty (impossible for a valid spec).
-#[must_use]
-pub fn oracle_search_with(
-    scenario: &Scenario,
-    faults: &FaultSchedule,
-    mode: OracleMode,
-) -> OracleOutcome {
-    oracle_search_stats(scenario, faults, mode).0
-}
-
-/// [`oracle_search_with`] plus the batch work counters (lane-steps run
-/// live versus folded by early retirement).
+/// Both modes submit each evaluation wave of their candidate plan as one
+/// [`run_bound_batch`] — a single pass over the trace advances every lane
+/// — and finish with one full-telemetry run of the winner. Results are
+/// bit-identical to [`oracle_search_unbatched`].
 ///
 /// # Panics
 ///
@@ -113,26 +91,8 @@ pub fn oracle_search_stats(
     faults: &FaultSchedule,
     mode: OracleMode,
 ) -> (OracleOutcome, BatchStats) {
-    let (best_bound, tried, stats) = match mode {
-        OracleMode::Exhaustive => {
-            let grid = degree_grid(scenario.spec());
-            assert!(!grid.is_empty(), "degree grid is never empty");
-            let batch = run_bound_batch(scenario, &grid, faults);
-            let tried: Vec<(f64, f64)> = grid
-                .iter()
-                .zip(&batch.summaries)
-                .map(|(b, s)| (b.as_f64(), s.average_performance()))
-                .collect();
-            (
-                grid[last_argmax(tried.iter().map(|&(_, v)| v))],
-                tried,
-                batch.stats,
-            )
-        }
-        OracleMode::Pruned => pruned_scan_batched(scenario, faults),
-    };
-    let mut best = run_with_faults(scenario, Box::new(FixedBound::new(best_bound)), faults);
-    best.strategy = "Oracle".into();
+    let (best_bound, tried, stats) = batched_scan(scenario, faults, mode);
+    let best = oracle_run(scenario, faults, best_bound);
     (
         OracleOutcome {
             best_bound,
@@ -141,6 +101,13 @@ pub fn oracle_search_stats(
         },
         stats,
     )
+}
+
+/// The final full-telemetry run of the selected bound, named "Oracle".
+fn oracle_run(scenario: &Scenario, faults: &FaultSchedule, bound: Ratio) -> SimResult {
+    let mut best = run_with_faults(scenario, Box::new(FixedBound::new(bound)), faults);
+    best.strategy = "Oracle".into();
+    best
 }
 
 /// Positions evaluated per checkpoint chunk in the resumable search: small
@@ -182,13 +149,13 @@ pub fn oracle_checkpoint_store(
     CheckpointStore::open(dir, "oracle", fp)
 }
 
-/// [`oracle_search_stats`] with supervised, checkpointed execution: the
-/// candidate grid is evaluated in small chunks, each chunk runs under the
+/// [`oracle_search_stats`] with supervised, checkpointed execution: each
+/// evaluation wave is split into small chunks, each chunk runs under the
 /// supervisor's panic isolation and retry policy, and a snapshot of every
 /// completed value is written atomically after each chunk. Killed at any
 /// snapshot boundary (or resumed from a prior run's directory via the same
 /// `store`), the search continues from the last intact snapshot and
-/// returns an [`OracleOutcome`] bit-identical to [`oracle_search_with`].
+/// returns an [`OracleOutcome`] bit-identical to [`oracle_search_stats`].
 ///
 /// The returned [`BatchStats`] count the lane-steps *this* execution
 /// path ran (chunked waves, minus whatever a resume restored) — work
@@ -200,89 +167,48 @@ pub fn oracle_search_resumable(
     supervisor: &Supervisor,
     store: &mut CheckpointStore,
 ) -> Result<(OracleOutcome, BatchStats), SimError> {
-    // Both modes reduce to "evaluate candidate bounds at these positions,
-    // then select": the pruned mode evaluates its plan's waves, the
-    // exhaustive mode the whole grid.
-    let plan = match mode {
-        OracleMode::Pruned => scan_plan(scenario.spec(), scenario.trace(), faults),
-        OracleMode::Exhaustive => {
-            let grid = degree_grid(scenario.spec());
-            let candidates = (0..grid.len()).collect();
-            ScanPlan { grid, candidates }
-        }
-    };
-    if plan.len() == 0 {
-        return Err(SimError::config("degree grid is empty"));
-    }
-    let mut values: Vec<Option<f64>> = (0..plan.len()).map(|_| None).collect();
+    let plan = ScanPlan::new(scenario.spec(), scenario.trace(), faults, mode);
+    let mut saved: Vec<Option<f64>> = vec![None; plan.len()];
     let mut stats = BatchStats::default();
     if let Some(loaded) = store.load_latest::<OracleCkpt>()? {
         for &(p, bits) in &loaded.payload.values {
             let p = p as usize;
-            if p >= values.len() {
+            if p >= saved.len() {
                 return Err(SimError::checkpoint(
                     store.dir().display().to_string(),
-                    format!("snapshot position {p} exceeds plan size {}", values.len()),
+                    format!("snapshot position {p} exceeds plan size {}", saved.len()),
                 ));
             }
-            values[p] = Some(f64::from_bits(bits));
+            saved[p] = Some(f64::from_bits(bits));
         }
         stats = loaded.payload.stats;
     }
 
     let mut chunk_ordinal = 0_usize;
-    let evaluate_chunked = |positions: &[usize],
-                            values: &mut Vec<Option<f64>>,
-                            stats: &mut BatchStats,
-                            store: &mut CheckpointStore,
-                            chunk_ordinal: &mut usize|
-     -> Result<(), SimError> {
-        let pending: Vec<usize> = positions
-            .iter()
-            .copied()
-            .filter(|&p| values[p].is_none())
-            .collect();
-        for chunk in pending.chunks(CKPT_CHUNK) {
+    let (best_bound, tried) = plan.search(saved.clone(), |positions| {
+        let mut values = Vec::with_capacity(positions.len());
+        for chunk in positions.chunks(CKPT_CHUNK) {
             let bounds: Vec<Ratio> = chunk.iter().map(|&p| plan.bound(p)).collect();
-            let batch = supervisor.call(*chunk_ordinal, || {
-                run_bound_batch(scenario, &bounds, faults)
-            })?;
-            *chunk_ordinal += 1;
+            let batch =
+                supervisor.call(chunk_ordinal, || run_bound_batch(scenario, &bounds, faults))?;
+            chunk_ordinal += 1;
             stats.merge(batch.stats);
             for (&p, s) in chunk.iter().zip(&batch.summaries) {
-                values[p] = Some(s.average_performance());
+                saved[p] = Some(s.average_performance());
+                values.push(s.average_performance());
             }
-            let ckpt = OracleCkpt {
-                values: values
+            store.save(&OracleCkpt {
+                values: saved
                     .iter()
                     .enumerate()
                     .filter_map(|(p, v)| v.map(|v| (p as u64, v.to_bits())))
                     .collect(),
-                stats: *stats,
-            };
-            store.save(&ckpt)?;
+                stats,
+            })?;
         }
-        Ok(())
-    };
-
-    let first: Vec<usize> = match mode {
-        // The pruned search's coarse wave; refinement follows below.
-        OracleMode::Pruned => plan.first_positions(),
-        // Exhaustive means exhaustive: every grid position.
-        OracleMode::Exhaustive => (0..plan.len()).collect(),
-    };
-    evaluate_chunked(&first, &mut values, &mut stats, store, &mut chunk_ordinal)?;
-    if mode == OracleMode::Pruned {
-        let window = plan.window_positions(&values);
-        if !window.is_empty() {
-            evaluate_chunked(&window, &mut values, &mut stats, store, &mut chunk_ordinal)?;
-        }
-    }
-    let (best_bound, tried) = plan.select(&values);
-    let mut best = supervisor.call(plan.len(), || {
-        run_with_faults(scenario, Box::new(FixedBound::new(best_bound)), faults)
+        Ok(values)
     })?;
-    best.strategy = "Oracle".into();
+    let best = supervisor.call(plan.len(), || oracle_run(scenario, faults, best_bound))?;
     Ok((
         OracleOutcome {
             best_bound,
@@ -311,41 +237,56 @@ pub fn oracle_search_unbatched(
     faults: &FaultSchedule,
     mode: OracleMode,
 ) -> OracleOutcome {
-    match mode {
-        OracleMode::Exhaustive => {
-            let grid = degree_grid(scenario.spec());
-            let results = parallel_map(&grid, |&bound| {
-                let result = run_with_faults(scenario, Box::new(FixedBound::new(bound)), faults);
-                (bound, result)
-            });
-            let tried: Vec<(f64, f64)> = results
-                .iter()
-                .map(|(b, r)| (b.as_f64(), r.average_performance()))
-                .collect();
-            let (best_bound, mut best) = results
-                .into_iter()
-                .max_by(|(_, a), (_, b)| {
-                    a.average_performance().total_cmp(&b.average_performance())
-                })
-                .expect("degree grid is never empty");
-            best.strategy = "Oracle".into();
-            OracleOutcome {
-                best_bound,
-                best,
-                tried,
-            }
-        }
-        OracleMode::Pruned => {
-            let (best_bound, tried) = pruned_scan(scenario, faults);
-            let mut best = run_with_faults(scenario, Box::new(FixedBound::new(best_bound)), faults);
-            best.strategy = "Oracle".into();
-            OracleOutcome {
-                best_bound,
-                best,
-                tried,
-            }
-        }
+    let (best_bound, tried) = independent_scan(scenario, faults, mode);
+    OracleOutcome {
+        best_bound,
+        best: oracle_run(scenario, faults, best_bound),
+        tried,
     }
+}
+
+/// The batched scan: each wave of the plan is one [`run_bound_batch`].
+/// Returns the best bound, the evaluated `(bound, average performance)`
+/// pairs and the batch counters, without the final full-telemetry run
+/// (the table builder wants only the bound).
+pub(crate) fn batched_scan(
+    scenario: &Scenario,
+    faults: &FaultSchedule,
+    mode: OracleMode,
+) -> (Ratio, Vec<(f64, f64)>, BatchStats) {
+    let plan = ScanPlan::new(scenario.spec(), scenario.trace(), faults, mode);
+    let mut stats = BatchStats::default();
+    let (best, tried) = plan
+        .search(vec![None; plan.len()], |positions| {
+            let bounds: Vec<Ratio> = positions.iter().map(|&p| plan.bound(p)).collect();
+            let batch = run_bound_batch(scenario, &bounds, faults);
+            stats.merge(batch.stats);
+            Ok(batch
+                .summaries
+                .iter()
+                .map(SimSummary::average_performance)
+                .collect())
+        })
+        .expect("a batched evaluation cannot fail");
+    (best, tried, stats)
+}
+
+/// The reference scan: every evaluation an independent lean
+/// [`run_summary_with_faults`] run (whose average performance is
+/// bit-identical to a full run's), spread over [`parallel_map`].
+pub(crate) fn independent_scan(
+    scenario: &Scenario,
+    faults: &FaultSchedule,
+    mode: OracleMode,
+) -> (Ratio, Vec<(f64, f64)>) {
+    let plan = ScanPlan::new(scenario.spec(), scenario.trace(), faults, mode);
+    plan.search(vec![None; plan.len()], |positions| {
+        Ok(parallel_map(positions, |&p| {
+            run_summary_with_faults(scenario, Box::new(FixedBound::new(plan.bound(p))), faults)
+                .average_performance()
+        }))
+    })
+    .expect("an independent evaluation cannot fail")
 }
 
 /// Index of the last maximum of an iterator of values (`max_by` with
@@ -364,14 +305,16 @@ pub(crate) fn last_argmax(values: impl Iterator<Item = f64>) -> usize {
 
 /// Bounds at or below this many effective grid points are all evaluated:
 /// the coarse-to-fine machinery only pays off on larger grids.
-pub(crate) const EXHAUST_BELOW: usize = 8;
+const EXHAUST_BELOW: usize = 8;
 
-/// The pruned scan's candidate set and schedule, split from the evaluation
-/// driver so the same plan can be fed by independent runs (the reference
-/// path) or by batched lanes (including the table builder's tapped
-/// columns).
+/// The Oracle's candidate set and evaluation schedule, split from the
+/// evaluator so the same plan can be fed by independent runs (the
+/// reference path), by batched lanes, by supervised checkpointed chunks,
+/// or by the table builder's tapped columns.
 ///
-/// Two prunes are applied, both *exact* under stated assumptions:
+/// An [`OracleMode::Exhaustive`] plan is the whole grid in one wave. An
+/// [`OracleMode::Pruned`] plan applies two prunes, both *exact* under
+/// stated assumptions:
 ///
 /// 1. **Saturation.** A bound whose core count is at least the cores
 ///    needed for the largest demand the controller can ever *observe*
@@ -379,20 +322,52 @@ pub(crate) const EXHAUST_BELOW: usize = 8;
 ///    fault schedule) never binds, so all such bounds produce identical
 ///    runs. Only the largest is evaluated, as the representative — which
 ///    also preserves the exhaustive scan's last-of-ties selection.
-/// 2. **Unimodality.** The performance-vs-bound profile is empirically
-///    unimodal (tight bounds under-sprint, loose bounds over-drain the
-///    stores; plateaus occur where a whole range of bounds acts
-///    identically). A stride-√m coarse scan plus a full scan of the
-///    window around the coarse winner finds the *last* grid argmax of any
-///    unimodal-with-plateaus profile: the true argmax plateau always ends
-///    strictly inside the refined window.
+/// 2. **Unimodality.** On grids above [`EXHAUST_BELOW`] points the
+///    performance-vs-bound profile is assumed unimodal (tight bounds
+///    under-sprint, loose bounds over-drain the stores; plateaus occur
+///    where a whole range of bounds acts identically). A stride-√m coarse
+///    wave plus a full scan of the window around the coarse winner finds
+///    the *last* grid argmax of any unimodal-with-plateaus profile: the
+///    true argmax plateau always ends strictly inside the refined window.
+///    The assumption is not a theorem; ROADMAP item 9 records profiles
+///    where it fails.
 pub(crate) struct ScanPlan {
     grid: Vec<Ratio>,
     candidates: Vec<usize>,
+    /// The coarse wave's stride; `None` when the first wave is every
+    /// position and there is no refinement window.
+    stride: Option<usize>,
 }
 
 impl ScanPlan {
-    /// Number of candidate positions after saturation pruning.
+    /// Builds the plan for a trace under a fault schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the degree grid is empty (impossible for a valid spec).
+    pub(crate) fn new(
+        spec: &dcs_power::DataCenterSpec,
+        trace: &Trace,
+        faults: &FaultSchedule,
+        mode: OracleMode,
+    ) -> ScanPlan {
+        let grid = degree_grid(spec);
+        assert!(!grid.is_empty(), "degree grid is never empty");
+        let candidates = match mode {
+            OracleMode::Exhaustive => (0..grid.len()).collect(),
+            OracleMode::Pruned => unsaturated_candidates(spec, trace, faults, &grid),
+        };
+        let m = candidates.len();
+        let stride = (mode == OracleMode::Pruned && m > EXHAUST_BELOW)
+            .then(|| (m as f64).sqrt().ceil() as usize);
+        ScanPlan {
+            grid,
+            candidates,
+            stride,
+        }
+    }
+
+    /// Number of candidate positions.
     pub(crate) fn len(&self) -> usize {
         self.candidates.len()
     }
@@ -402,20 +377,25 @@ impl ScanPlan {
         self.grid[self.candidates[p]]
     }
 
-    /// The first evaluation wave: every position on small grids, the
-    /// stride-√m coarse set (always including the last position) on large
-    /// ones.
+    /// `true` if the plan refines around a coarse first wave; `false` if
+    /// the first wave already evaluates every position.
+    pub(crate) fn refines(&self) -> bool {
+        self.stride.is_some()
+    }
+
+    /// The first evaluation wave: every position, or on a refining plan
+    /// the stride-√m coarse set (always including the last position).
     pub(crate) fn first_positions(&self) -> Vec<usize> {
         let m = self.len();
-        if m <= EXHAUST_BELOW {
-            (0..m).collect()
-        } else {
-            let stride = (m as f64).sqrt().ceil() as usize;
-            let mut coarse: Vec<usize> = (0..m).step_by(stride).collect();
-            if *coarse.last().expect("m > 0") != m - 1 {
-                coarse.push(m - 1);
+        match self.stride {
+            None => (0..m).collect(),
+            Some(stride) => {
+                let mut coarse: Vec<usize> = (0..m).step_by(stride).collect();
+                if *coarse.last().expect("m > 0") != m - 1 {
+                    coarse.push(m - 1);
+                }
+                coarse
             }
-            coarse
         }
     }
 
@@ -424,76 +404,84 @@ impl ScanPlan {
     /// Preserves last-of-ties selection.
     pub(crate) fn pivot(&self, values: &[Option<f64>]) -> usize {
         let coarse = self.first_positions();
-        let mut pivot = coarse[0];
-        let mut pivot_val = f64::NEG_INFINITY;
-        for &p in &coarse {
-            let v = values[p].expect("coarse point evaluated");
-            if v.total_cmp(&pivot_val).is_ge() {
-                pivot = p;
-                pivot_val = v;
-            }
-        }
-        pivot
+        coarse[last_argmax(
+            coarse
+                .iter()
+                .map(|&p| values[p].expect("coarse point evaluated")),
+        )]
     }
 
     /// The second evaluation wave given the first wave's values: the
     /// not-yet-evaluated positions in the window around the last coarse
     /// argmax. Empty when the first wave already covered everything.
-    pub(crate) fn window_positions(&self, values: &[Option<f64>]) -> Vec<usize> {
-        let m = self.len();
-        if m <= EXHAUST_BELOW {
+    fn window_positions(&self, values: &[Option<f64>]) -> Vec<usize> {
+        let Some(stride) = self.stride else {
             return Vec::new();
-        }
-        let stride = (m as f64).sqrt().ceil() as usize;
+        };
         let pivot = self.pivot(values);
         // Under unimodality the argmax plateau ends strictly between the
         // coarse neighbors of the pivot: scan that window exhaustively.
         let lo = pivot.saturating_sub(stride - 1);
-        let hi = (pivot + stride - 1).min(m - 1);
+        let hi = (pivot + stride - 1).min(self.len() - 1);
         (lo..=hi).filter(|&p| values[p].is_none()).collect()
+    }
+
+    /// The Oracle's search driver: runs the first wave and the refinement
+    /// window through `evaluate` — which gets the not-yet-evaluated
+    /// positions of a wave and returns their average performance in the
+    /// same order — then selects. `values` holds anything already known
+    /// (a resumed checkpoint); those positions are not evaluated again.
+    pub(crate) fn search(
+        &self,
+        mut values: Vec<Option<f64>>,
+        mut evaluate: impl FnMut(&[usize]) -> Result<Vec<f64>, SimError>,
+    ) -> Result<(Ratio, Vec<(f64, f64)>), SimError> {
+        let mut wave = |positions: Vec<usize>, values: &mut Vec<Option<f64>>| {
+            let pending: Vec<usize> = positions
+                .into_iter()
+                .filter(|&p| values[p].is_none())
+                .collect();
+            if !pending.is_empty() {
+                for (&p, v) in pending.iter().zip(evaluate(&pending)?) {
+                    values[p] = Some(v);
+                }
+            }
+            Ok::<(), SimError>(())
+        };
+        wave(self.first_positions(), &mut values)?;
+        wave(self.window_positions(&values), &mut values)?;
+        Ok(self.select(&values))
     }
 
     /// Final selection: the last argmax over everything evaluated
     /// (positions ascend with the bound, so this matches `max_by`'s
     /// last-of-ties result), plus the `tried` pairs in ascending order.
     pub(crate) fn select(&self, values: &[Option<f64>]) -> (Ratio, Vec<(f64, f64)>) {
-        let mut tried = Vec::new();
-        for (p, value) in values.iter().enumerate() {
-            if let Some(v) = *value {
-                tried.push((self.bound(p).as_f64(), v));
-            }
-        }
-        (self.bound(self.select_pos(values)), tried)
-    }
-
-    /// The selected candidate *position* (last argmax over everything
-    /// evaluated).
-    pub(crate) fn select_pos(&self, values: &[Option<f64>]) -> usize {
-        let mut best_pos = 0;
-        let mut best_val = f64::NEG_INFINITY;
-        for (p, value) in values.iter().enumerate() {
-            if let Some(v) = *value {
-                if v.total_cmp(&best_val).is_ge() {
-                    best_pos = p;
-                    best_val = v;
-                }
-            }
-        }
-        best_pos
+        let evaluated: Vec<(usize, f64)> = values
+            .iter()
+            .enumerate()
+            .filter_map(|(p, v)| Some((p, (*v)?)))
+            .collect();
+        let best = evaluated[last_argmax(evaluated.iter().map(|&(_, v)| v))].0;
+        let tried = evaluated
+            .iter()
+            .map(|&(p, v)| (self.bound(p).as_f64(), v))
+            .collect();
+        (self.bound(best), tried)
     }
 }
 
-/// Builds the pruned scan's candidate plan for a trace under a fault
-/// schedule.
-pub(crate) fn scan_plan(
+/// The saturation prune: the grid positions below the first bound that
+/// can never bind, plus the *last* grid point representing the entire
+/// saturated tail.
+fn unsaturated_candidates(
     spec: &dcs_power::DataCenterSpec,
     trace: &Trace,
     faults: &FaultSchedule,
-) -> ScanPlan {
+    grid: &[Ratio],
+) -> Vec<usize> {
     let server = spec.server();
-    let grid = degree_grid(spec);
     let n = grid.len();
-    assert!(n > 0, "degree grid is never empty");
     let normal = server.normal_cores();
     let max_demand = trace.iter().map(|(_, d)| d).fold(0.0_f64, f64::max);
     let max_sigma = faults
@@ -512,64 +500,9 @@ pub(crate) fn scan_plan(
         .iter()
         .position(|&b| server.cores_at_degree(b).max(normal) >= saturating_cores)
         .unwrap_or(n - 1);
-    // Unsaturated bounds, plus the *last* grid point representing the
-    // entire saturated tail.
     let mut candidates: Vec<usize> = (0..first_saturated).collect();
     candidates.push(n - 1);
-    ScanPlan { grid, candidates }
-}
-
-/// The pruned Oracle scan, reference (unbatched) driver: returns the best
-/// bound and the evaluated `(bound, average performance)` pairs, without
-/// the final full-telemetry run (the table builder wants only the bound).
-///
-/// Evaluations use lean [`crate::run_summary_with_faults`] runs, whose average
-/// performance is bit-identical to a full run's.
-pub(crate) fn pruned_scan(scenario: &Scenario, faults: &FaultSchedule) -> (Ratio, Vec<(f64, f64)>) {
-    let plan = scan_plan(scenario.spec(), scenario.trace(), faults);
-    let mut values: Vec<Option<f64>> = (0..plan.len()).map(|_| None).collect();
-    let evaluate = |positions: &[usize], values: &mut Vec<Option<f64>>| {
-        let got = parallel_map(positions, |&p| {
-            run_summary_with_faults(scenario, Box::new(FixedBound::new(plan.bound(p))), faults)
-                .average_performance()
-        });
-        for (&p, v) in positions.iter().zip(got) {
-            values[p] = Some(v);
-        }
-    };
-    evaluate(&plan.first_positions(), &mut values);
-    let window = plan.window_positions(&values);
-    if !window.is_empty() {
-        evaluate(&window, &mut values);
-    }
-    plan.select(&values)
-}
-
-/// The pruned Oracle scan, batched driver: each evaluation wave is one
-/// [`run_bound_batch`] — a single pass over the trace for all its lanes —
-/// with results bit-identical to [`pruned_scan`].
-pub(crate) fn pruned_scan_batched(
-    scenario: &Scenario,
-    faults: &FaultSchedule,
-) -> (Ratio, Vec<(f64, f64)>, BatchStats) {
-    let plan = scan_plan(scenario.spec(), scenario.trace(), faults);
-    let mut values: Vec<Option<f64>> = (0..plan.len()).map(|_| None).collect();
-    let mut stats = BatchStats::default();
-    let mut evaluate = |positions: &[usize], values: &mut Vec<Option<f64>>| {
-        let bounds: Vec<Ratio> = positions.iter().map(|&p| plan.bound(p)).collect();
-        let batch = run_bound_batch(scenario, &bounds, faults);
-        stats.merge(batch.stats);
-        for (&p, s) in positions.iter().zip(&batch.summaries) {
-            values[p] = Some(s.average_performance());
-        }
-    };
-    evaluate(&plan.first_positions(), &mut values);
-    let window = plan.window_positions(&values);
-    if !window.is_empty() {
-        evaluate(&window, &mut values);
-    }
-    let (best, tried) = plan.select(&values);
-    (best, tried, stats)
+    candidates
 }
 
 #[cfg(test)]
@@ -637,7 +570,12 @@ mod tests {
 
     #[test]
     fn exhaustive_tried_covers_whole_grid() {
-        let outcome = oracle_search_exhaustive(&scenario(2.6, 1.0));
+        let outcome = oracle_search_stats(
+            &scenario(2.6, 1.0),
+            &FaultSchedule::NONE,
+            OracleMode::Exhaustive,
+        )
+        .0;
         assert_eq!(outcome.tried.len(), 37);
         assert_eq!(outcome.best.strategy, "Oracle");
     }
@@ -647,7 +585,8 @@ mod tests {
         for (degree, minutes) in [(2.6, 1.0), (3.2, 15.0), (4.0, 30.0)] {
             let s = scenario(degree, minutes);
             let pruned = oracle_search(&s);
-            let exhaustive = oracle_search_exhaustive(&s);
+            let exhaustive =
+                oracle_search_stats(&s, &FaultSchedule::NONE, OracleMode::Exhaustive).0;
             assert_eq!(
                 pruned.best_bound, exhaustive.best_bound,
                 "best bound diverged at ({degree}, {minutes})"
@@ -669,13 +608,13 @@ mod tests {
     fn batched_search_matches_unbatched_reference() {
         let s = scenario(3.0, 5.0);
         for mode in [OracleMode::Pruned, OracleMode::Exhaustive] {
-            let batched = oracle_search_with(&s, &FaultSchedule::NONE, mode);
+            let batched = oracle_search_stats(&s, &FaultSchedule::NONE, mode).0;
             let reference = oracle_search_unbatched(&s, &FaultSchedule::NONE, mode);
             assert_eq!(batched, reference, "mode {mode:?}");
         }
         let faults = FaultSchedule::random(11, s.trace().duration());
         for mode in [OracleMode::Pruned, OracleMode::Exhaustive] {
-            let batched = oracle_search_with(&s, &faults, mode);
+            let batched = oracle_search_stats(&s, &faults, mode).0;
             let reference = oracle_search_unbatched(&s, &faults, mode);
             assert_eq!(batched, reference, "faulted mode {mode:?}");
         }

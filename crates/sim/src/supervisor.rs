@@ -1,13 +1,19 @@
-//! Supervised parallel execution: panic isolation, retries, deadlines.
+//! Supervised execution: panic isolation, retries, deadlines.
 //!
-//! [`parallel_map`](crate::parallel_map) is the zero-overhead fast path —
-//! a panicking item aborts the whole sweep (now at least naming the item).
-//! The [`Supervisor`] here is the slow-but-safe path for long provisioning
-//! sweeps: every work item runs inside `catch_unwind`, a failed attempt is
-//! retried under a [`RetryPolicy`] with capped exponential backoff, an
-//! optional per-item deadline is enforced by a watchdog thread, and the
-//! caller gets a [`SweepReport`] naming every item that ultimately failed
-//! (with its panic payload) instead of a blanket abort.
+//! [`parallel_map`] is the zero-overhead fast path — a panicking item
+//! aborts the whole sweep (naming the item). The [`Supervisor`] here is
+//! the slow-but-safe path for long provisioning sweeps: every attempt runs
+//! inside `catch_unwind`, a failed attempt is retried under a
+//! [`RetryPolicy`] with capped exponential backoff, and the caller gets a
+//! typed error or a [`SweepReport`] naming every item that ultimately
+//! failed (with its panic payload) instead of a blanket abort.
+//!
+//! [`Supervisor::call`] supervises one item on the calling thread;
+//! [`Supervisor::map`] runs the same attempt loop for every item through
+//! [`parallel_map`], so the supervisor starts no threads of its own. The
+//! optional per-item deadline is checked when an attempt returns: an
+//! attempt that took longer is discarded and retried like a failure.
+//! Nothing is interrupted, so a hung attempt hangs its item.
 //!
 //! Determinism: a perturbed attempt's output is discarded before retrying,
 //! and the work closures in this crate are pure functions of their input,
@@ -15,16 +21,13 @@
 //! bit-identical to a clean run. The chaos suite asserts this.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use dcs_faults::{ChaosKind, ChaosSchedule};
 
 use crate::error::SimError;
-use crate::sweep::{panic_payload_message, BudgetGuard};
-
-/// Sentinel for "worker is idle" in the watchdog's per-worker item slots.
-const IDLE: usize = usize::MAX;
+use crate::parallel_map;
+use crate::sweep::panic_payload_message;
 
 /// Per-item retry policy for supervised execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,9 +38,10 @@ pub struct RetryPolicy {
     pub initial_backoff_ms: u64,
     /// Cap on the exponential backoff, in milliseconds.
     pub max_backoff_ms: u64,
-    /// Per-item deadline in milliseconds. An attempt that overruns it is
-    /// discarded and counted as a failure (and retried if attempts
-    /// remain). `None` disables the watchdog.
+    /// Per-item deadline in milliseconds, checked when an attempt returns:
+    /// an attempt that took longer is discarded and counted as a failure
+    /// (and retried if attempts remain). A running attempt is never
+    /// interrupted. `None` means no deadline.
     pub deadline_ms: Option<u64>,
 }
 
@@ -202,212 +206,70 @@ impl Supervisor {
         self
     }
 
-    /// The active retry policy.
-    #[must_use]
-    pub fn retry(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Runs one nominal work item (index `item`, for chaos lookup and
     /// error attribution) under the retry policy, inline on the calling
-    /// thread. The deadline, if any, is checked after each attempt — an
-    /// overrunning attempt's result is discarded and retried.
+    /// thread.
     pub fn call<U>(&self, item: usize, f: impl Fn() -> U) -> Result<U, SimError> {
-        let mut last_cause = None;
-        for attempt in 0..self.retry.max_attempts {
-            if attempt > 0 {
-                let backoff = self.retry.backoff_ms(attempt - 1);
-                if backoff > 0 {
-                    std::thread::sleep(Duration::from_millis(backoff));
-                }
-            }
-            let started = Instant::now();
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let _budget = BudgetGuard::set(BudgetGuard::current());
-                self.apply_chaos(item, attempt);
-                f()
-            }));
-            let elapsed_ms = started.elapsed().as_millis() as u64;
-            match outcome {
-                Ok(value) => match self.retry.deadline_ms {
-                    Some(deadline_ms) if elapsed_ms > deadline_ms => {
-                        last_cause = Some(FailureCause::DeadlineExceeded {
-                            elapsed_ms,
-                            deadline_ms,
-                        });
-                    }
-                    _ => return Ok(value),
-                },
-                Err(payload) => {
-                    last_cause = Some(FailureCause::Panic {
-                        payload: panic_payload_message(payload.as_ref()),
-                    });
-                }
-            }
-        }
-        let cause = last_cause.expect("max_attempts >= 1 ran at least one attempt");
-        Err(SimError::Sweep {
+        let (attempts, outcome) = self.attempts(item, f);
+        outcome.map_err(|cause| SimError::Sweep {
             item,
-            attempts: self.retry.max_attempts,
+            attempts,
             message: cause.to_string(),
         })
     }
 
-    /// Maps `f` over `inputs` in parallel with per-item supervision:
-    /// panic isolation, retries with capped backoff, and (when the policy
-    /// sets a deadline) a watchdog thread that flags overrunning attempts.
+    /// Maps `f` over `inputs` through [`parallel_map`], running every item
+    /// under the same attempt loop as [`Supervisor::call`], with the item's
+    /// index in `inputs` as its chaos and report index.
     ///
-    /// Results preserve input order. Unlike
-    /// [`parallel_map`](crate::parallel_map), a failing item never aborts
-    /// the sweep — it is reported in [`SweepReport::failures`] and its
-    /// result slot is `None`.
+    /// Results preserve input order. Unlike [`parallel_map`], a failing
+    /// item never aborts the sweep — it is reported in
+    /// [`SweepReport::failures`] and its result slot is `None`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dcs_sim::{RetryPolicy, Supervisor};
+    ///
+    /// let report = Supervisor::new()
+    ///     .with_retry(RetryPolicy::default())
+    ///     .map(&[1, 2, 3, 4], |&x| x * x);
+    /// assert!(report.is_complete());
+    /// assert_eq!(report.into_results().unwrap(), vec![1, 4, 9, 16]);
+    /// ```
     pub fn map<T, U, F>(&self, inputs: &[T], f: F) -> SweepReport<U>
     where
         T: Sync,
         U: Send,
         F: Fn(&T) -> U + Sync,
     {
-        let len = inputs.len();
-        if len == 0 {
-            return SweepReport {
-                results: Vec::new(),
-                failures: Vec::new(),
-                recovered: Vec::new(),
-            };
-        }
-        let budget = BudgetGuard::current();
-        let cap = budget.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-        let workers = cap.min(len).max(1);
-        let child_budget = (cap / workers).max(1);
-
-        struct ItemOutcome<U> {
-            item: usize,
-            attempts: u32,
-            result: Result<U, FailureCause>,
-        }
-
-        // Watchdog state: one (start-ms, item, tripped) triple per worker.
-        let epoch = Instant::now();
-        let starts: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        let items: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(IDLE)).collect();
-        let tripped: Vec<AtomicBool> = (0..workers).map(|_| AtomicBool::new(false)).collect();
-        let done = AtomicBool::new(false);
-        let next = AtomicUsize::new(0);
-
-        let f = &f;
-        let starts = &starts;
-        let items = &items;
-        let tripped = &tripped;
-        let done = &done;
-        let next = &next;
-
-        let mut outcomes: Vec<ItemOutcome<U>> = std::thread::scope(|scope| {
-            if let Some(deadline_ms) = self.retry.deadline_ms {
-                let poll = Duration::from_millis((deadline_ms / 4).clamp(1, 5));
-                scope.spawn(move || {
-                    while !done.load(Ordering::Acquire) {
-                        let now_ms = epoch.elapsed().as_millis() as u64;
-                        for w in 0..workers {
-                            if items[w].load(Ordering::Acquire) == IDLE {
-                                continue;
-                            }
-                            let start = starts[w].load(Ordering::Acquire);
-                            if now_ms.saturating_sub(start) > deadline_ms {
-                                tripped[w].store(true, Ordering::Release);
-                            }
-                        }
-                        std::thread::sleep(poll);
-                    }
-                });
-            }
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let _budget = BudgetGuard::set(Some(child_budget));
-                        let mut produced: Vec<ItemOutcome<U>> = Vec::new();
-                        loop {
-                            let item = next.fetch_add(1, Ordering::Relaxed);
-                            if item >= len {
-                                break;
-                            }
-                            let outcome = self.supervise_item(
-                                item,
-                                &inputs[item],
-                                f,
-                                epoch,
-                                &starts[w],
-                                &items[w],
-                                &tripped[w],
-                            );
-                            produced.push(ItemOutcome {
-                                item,
-                                attempts: outcome.1,
-                                result: outcome.0,
-                            });
-                        }
-                        produced
-                    })
-                })
-                .collect();
-            let mut outcomes = Vec::with_capacity(len);
-            for handle in handles {
-                // Workers catch item panics internally; a join error here
-                // would mean the supervisor itself is broken.
-                outcomes.extend(handle.join().expect("supervised worker must not panic"));
-            }
-            done.store(true, Ordering::Release);
-            outcomes
-        });
-
-        outcomes.sort_by_key(|o| o.item);
-        let mut results: Vec<Option<U>> = (0..len).map(|_| None).collect();
-        let mut failures = Vec::new();
-        let mut recovered = Vec::new();
-        for outcome in outcomes {
-            match outcome.result {
-                Ok(value) => {
-                    if outcome.attempts > 1 {
-                        recovered.push(SweepRecovery {
-                            item: outcome.item,
-                            attempts: outcome.attempts,
-                        });
-                    }
-                    results[outcome.item] = Some(value);
-                }
-                Err(cause) => failures.push(SweepFailure {
-                    item: outcome.item,
-                    attempts: outcome.attempts,
-                    cause,
+        let items: Vec<usize> = (0..inputs.len()).collect();
+        let outcomes = parallel_map(&items, |&item| self.attempts(item, || f(&inputs[item])));
+        let mut report = SweepReport {
+            results: Vec::with_capacity(inputs.len()),
+            failures: Vec::new(),
+            recovered: Vec::new(),
+        };
+        for (item, (attempts, outcome)) in outcomes.into_iter().enumerate() {
+            match &outcome {
+                Ok(_) if attempts > 1 => report.recovered.push(SweepRecovery { item, attempts }),
+                Ok(_) => {}
+                Err(cause) => report.failures.push(SweepFailure {
+                    item,
+                    attempts,
+                    cause: cause.clone(),
                 }),
             }
+            report.results.push(outcome.ok());
         }
-        SweepReport {
-            results,
-            failures,
-            recovered,
-        }
+        report
     }
 
-    /// Runs every attempt of one item on the current worker thread,
-    /// publishing progress to the watchdog slots.
-    #[allow(clippy::too_many_arguments)]
-    fn supervise_item<T, U, F>(
-        &self,
-        item: usize,
-        input: &T,
-        f: &F,
-        epoch: Instant,
-        start_slot: &AtomicU64,
-        item_slot: &AtomicUsize,
-        tripped: &AtomicBool,
-    ) -> (Result<U, FailureCause>, u32)
-    where
-        F: Fn(&T) -> U,
-    {
+    /// The attempt loop: runs `f` until an attempt returns within the
+    /// deadline or the attempts run out, sleeping the capped backoff
+    /// before each retry. Returns the attempts made and the value or the
+    /// last attempt's failure.
+    fn attempts<U>(&self, item: usize, f: impl Fn() -> U) -> (u32, Result<U, FailureCause>) {
         let mut last_cause = None;
         for attempt in 0..self.retry.max_attempts {
             if attempt > 0 {
@@ -416,43 +278,29 @@ impl Supervisor {
                     std::thread::sleep(Duration::from_millis(backoff));
                 }
             }
-            tripped.store(false, Ordering::Release);
-            start_slot.store(epoch.elapsed().as_millis() as u64, Ordering::Release);
-            item_slot.store(item, Ordering::Release);
             let started = Instant::now();
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let _budget = BudgetGuard::set(BudgetGuard::current());
                 self.apply_chaos(item, attempt);
-                f(input)
+                f()
             }));
-            item_slot.store(IDLE, Ordering::Release);
             let elapsed_ms = started.elapsed().as_millis() as u64;
-            match outcome {
-                Ok(value) => {
-                    let overran = match self.retry.deadline_ms {
-                        Some(deadline_ms) => {
-                            tripped.load(Ordering::Acquire) || elapsed_ms > deadline_ms
-                        }
-                        None => false,
-                    };
-                    if overran {
-                        last_cause = Some(FailureCause::DeadlineExceeded {
+            last_cause = Some(match outcome {
+                Ok(value) => match self.retry.deadline_ms {
+                    Some(deadline_ms) if elapsed_ms > deadline_ms => {
+                        FailureCause::DeadlineExceeded {
                             elapsed_ms,
-                            deadline_ms: self.retry.deadline_ms.unwrap_or(0),
-                        });
-                    } else {
-                        return (Ok(value), attempt + 1);
+                            deadline_ms,
+                        }
                     }
-                }
-                Err(payload) => {
-                    last_cause = Some(FailureCause::Panic {
-                        payload: panic_payload_message(payload.as_ref()),
-                    });
-                }
-            }
+                    _ => return (attempt + 1, Ok(value)),
+                },
+                Err(payload) => FailureCause::Panic {
+                    payload: panic_payload_message(payload.as_ref()),
+                },
+            });
         }
         let cause = last_cause.expect("max_attempts >= 1 ran at least one attempt");
-        (Err(cause), self.retry.max_attempts)
+        (self.retry.max_attempts, Err(cause))
     }
 
     /// Applies any chaos scheduled for this (item, attempt): a stall
@@ -470,32 +318,6 @@ impl Supervisor {
     }
 }
 
-/// Maps `f` over `inputs` with per-item panic isolation, retries, and an
-/// optional watchdog-enforced deadline — the supervised counterpart of
-/// [`parallel_map`](crate::parallel_map).
-///
-/// # Examples
-///
-/// ```
-/// use dcs_sim::{parallel_map_supervised, RetryPolicy};
-///
-/// let report = parallel_map_supervised(
-///     &[1, 2, 3, 4],
-///     |&x| x * x,
-///     RetryPolicy::default(),
-/// );
-/// assert!(report.is_complete());
-/// assert_eq!(report.into_results().unwrap(), vec![1, 4, 9, 16]);
-/// ```
-pub fn parallel_map_supervised<T, U, F>(inputs: &[T], f: F, retry: RetryPolicy) -> SweepReport<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    Supervisor::new().with_retry(retry).map(inputs, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,7 +327,9 @@ mod tests {
     fn clean_map_matches_parallel_map() {
         let inputs: Vec<usize> = (0..50).collect();
         let plain = crate::parallel_map(&inputs, |&x| x * 3 + 1);
-        let report = parallel_map_supervised(&inputs, |&x| x * 3 + 1, RetryPolicy::default());
+        let report = Supervisor::new()
+            .with_retry(RetryPolicy::default())
+            .map(&inputs, |&x| x * 3 + 1);
         assert!(report.is_complete());
         assert!(report.recovered.is_empty());
         assert_eq!(report.into_results().unwrap(), plain);
@@ -514,16 +338,14 @@ mod tests {
     #[test]
     fn panic_is_isolated_and_reported() {
         let inputs: Vec<usize> = (0..10).collect();
-        let report = parallel_map_supervised(
-            &inputs,
-            |&x| {
+        let report = Supervisor::new()
+            .with_retry(RetryPolicy::default())
+            .map(&inputs, |&x| {
                 if x == 7 {
                     panic!("item seven is cursed");
                 }
                 x * 2
-            },
-            RetryPolicy::default(),
-        );
+            });
         assert_eq!(report.failures.len(), 1);
         let failure = &report.failures[0];
         assert_eq!(failure.item, 7);
@@ -620,8 +442,7 @@ mod tests {
 
     #[test]
     fn zero_duration_deadline_fails_fast() {
-        // A 0 ms deadline is degenerate but must not hang the watchdog
-        // (its poll interval clamps to ≥ 1 ms) or spin forever: any
+        // A 0 ms deadline is degenerate but must not spin forever: any
         // attempt that takes measurable time fails with a typed deadline
         // cause after the configured attempts, promptly.
         let started = Instant::now();

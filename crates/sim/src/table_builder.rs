@@ -1,12 +1,12 @@
 //! Building the Prediction strategy's upper-bound table with the Oracle.
 
-use crate::batch::{run_bound_batch, run_bound_batch_tapped, BatchStats, LaneTap};
+use crate::batch::{run_bound_batch_tapped, BatchStats, LaneTap};
 use crate::checkpoint::{fingerprint_of, fnv1a64, CheckpointStore};
 use crate::error::SimError;
-use crate::oracle::{last_argmax, pruned_scan, scan_plan, ScanPlan, EXHAUST_BELOW};
-use crate::scenario::SimSummary;
+use crate::oracle::{batched_scan, independent_scan, last_argmax, ScanPlan};
 use crate::supervisor::Supervisor;
-use crate::{degree_grid, oracle_search_unbatched, OracleMode, Scenario};
+use crate::sweep::{machine_parallelism, BudgetGuard};
+use crate::{OracleMode, Scenario};
 use dcs_core::{ControllerConfig, UpperBoundTable};
 use dcs_faults::FaultSchedule;
 use dcs_power::DataCenterSpec;
@@ -52,8 +52,10 @@ impl TableBuildStats {
 ///
 /// # Panics
 ///
-/// Panics if either axis is empty or not strictly ascending, or if a
-/// degree is not greater than 1.
+/// Panics before any simulation, with a message naming the problem (e.g.
+/// `axes must be non-empty, finite and strictly ascending` or `burst
+/// degrees must exceed 1`), if either axis is empty, non-finite or not
+/// strictly ascending, or if a degree is not greater than 1.
 ///
 /// # Examples
 ///
@@ -78,10 +80,11 @@ pub fn build_upper_bound_table(
     durations_min: &[f64],
     degrees: &[f64],
 ) -> UpperBoundTable {
-    build_upper_bound_table_with(spec, config, durations_min, degrees, OracleMode::Pruned)
+    build_upper_bound_table_stats(spec, config, durations_min, degrees, OracleMode::Pruned).0
 }
 
-/// [`build_upper_bound_table`] with an explicit [`OracleMode`].
+/// [`build_upper_bound_table`] with an explicit [`OracleMode`], plus the
+/// build's work counters.
 ///
 /// The pruned mode skips the Oracle's final full-telemetry run per cell —
 /// the table wants only the bound — so a cell costs exactly the pruned
@@ -92,25 +95,7 @@ pub fn build_upper_bound_table(
 ///
 /// # Panics
 ///
-/// Panics if either axis is empty or not strictly ascending, or if a
-/// degree is not greater than 1.
-#[must_use]
-pub fn build_upper_bound_table_with(
-    spec: &DataCenterSpec,
-    config: &ControllerConfig,
-    durations_min: &[f64],
-    degrees: &[f64],
-    mode: OracleMode,
-) -> UpperBoundTable {
-    build_upper_bound_table_stats(spec, config, durations_min, degrees, mode).0
-}
-
-/// [`build_upper_bound_table_with`] plus the build's work counters.
-///
-/// # Panics
-///
-/// Panics if either axis is empty or not strictly ascending, or if a
-/// degree is not greater than 1.
+/// Panics on invalid axes, exactly as [`build_upper_bound_table`].
 #[must_use]
 pub fn build_upper_bound_table_stats(
     spec: &DataCenterSpec,
@@ -119,37 +104,10 @@ pub fn build_upper_bound_table_stats(
     degrees: &[f64],
     mode: OracleMode,
 ) -> (UpperBoundTable, TableBuildStats) {
-    validate_axes(durations_min, degrees);
-    let built = match mode {
-        OracleMode::Pruned => crate::parallel_map(degrees, |&degree| {
-            pruned_column(spec, config, durations_min, degree)
-        }),
-        // The exhaustive fallback batches each cell's grid but keeps the
-        // historical cell-at-a-time structure.
-        OracleMode::Exhaustive => crate::parallel_map(degrees, |&degree| {
-            exhaustive_column(spec, config, durations_min, degree)
-        }),
-    };
-    let mut stats = TableBuildStats::default();
-    let columns: Vec<Vec<Ratio>> = built
-        .into_iter()
-        .map(|(bounds, s)| {
-            stats.merge(s);
-            bounds
-        })
-        .collect();
-    // Table cell order is durations outer, degrees inner.
-    let mut bounds = Vec::with_capacity(durations_min.len() * degrees.len());
-    for d in 0..durations_min.len() {
-        for column in &columns {
-            bounds.push(column[d]);
-        }
-    }
-    (
-        UpperBoundTable::new(durations_min.to_vec(), degrees.to_vec(), bounds)
-            .expect("axes validated above"),
-        stats,
-    )
+    build_table(durations_min, degrees, None, |degree| {
+        batched_column(spec, config, durations_min, degree, mode)
+    })
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Checkpoint payload for a resumable table build: one entry per
@@ -168,7 +126,7 @@ struct TableColumnCkpt {
 /// Checkpoint payload wrapper (the snapshot's whole body).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct TableCkpt {
-    /// Completed columns in completion order.
+    /// Completed columns in ascending column order.
     columns: Vec<TableColumnCkpt>,
 }
 
@@ -199,14 +157,22 @@ pub fn table_checkpoint_store(
 }
 
 /// [`build_upper_bound_table_stats`] with supervised, checkpointed
-/// execution: columns (one per degree) are built in waves sized to the
-/// available parallelism, each wave runs under the supervisor's panic
-/// isolation and retry policy, and a snapshot of every completed column
-/// is written atomically after each wave. Killed at any snapshot boundary
-/// (or resumed via the same `store`), the build continues from the last
-/// intact snapshot and produces the identical table cell-for-cell —
-/// column results are deterministic, and stats are merged in ascending
-/// column order exactly as the plain build does.
+/// execution: columns (one per degree) are built in waves as wide as the
+/// calling thread's worker budget ([`crate::with_worker_budget`], else
+/// [`crate::machine_parallelism`]), each column runs under the
+/// supervisor's panic isolation and retry policy (its chaos item and
+/// error item are the column index), and a snapshot of every completed
+/// column is written atomically after each wave. Killed at any snapshot
+/// boundary (or resumed via the same `store`), the build continues from
+/// the last intact snapshot and produces the identical table
+/// cell-for-cell — column results are deterministic, and stats are merged
+/// in ascending column order exactly as the plain build does.
+///
+/// # Errors
+///
+/// Invalid axes are a [`SimError::Config`], returned before any column is
+/// built or any snapshot written. Otherwise the store's load and save
+/// errors, and a column that fails every attempt ([`SimError::Sweep`]).
 pub fn build_upper_bound_table_resumable(
     spec: &DataCenterSpec,
     config: &ControllerConfig,
@@ -216,102 +182,106 @@ pub fn build_upper_bound_table_resumable(
     supervisor: &Supervisor,
     store: &mut CheckpointStore,
 ) -> Result<(UpperBoundTable, TableBuildStats), SimError> {
-    try_validate_axes(durations_min, degrees)?;
-    let mut columns: Vec<Option<(Vec<Ratio>, TableBuildStats)>> =
-        (0..degrees.len()).map(|_| None).collect();
-    if let Some(loaded) = store.load_latest::<TableCkpt>()? {
-        for col in &loaded.payload.columns {
-            let index = col.index as usize;
-            if index >= columns.len() || col.bounds.len() != durations_min.len() {
-                return Err(SimError::checkpoint(
-                    store.dir().display().to_string(),
-                    format!("snapshot column {index} does not fit the requested grid"),
-                ));
-            }
-            let bounds = col
-                .bounds
-                .iter()
-                .map(|&bits| Ratio::new(f64::from_bits(bits)))
-                .collect();
-            columns[index] = Some((bounds, col.stats));
-        }
-    }
+    build_table(
+        durations_min,
+        degrees,
+        Some((supervisor, store)),
+        |degree| batched_column(spec, config, durations_min, degree, mode),
+    )
+}
 
-    let wave_size = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    loop {
-        let missing: Vec<usize> = columns
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.is_none().then_some(i))
-            .collect();
-        if missing.is_empty() {
-            break;
-        }
-        let wave: Vec<usize> = missing.into_iter().take(wave_size).collect();
-        let report = supervisor.map(&wave, |&col| {
-            let degree = degrees[col];
-            match mode {
-                OracleMode::Pruned => pruned_column(spec, config, durations_min, degree),
-                OracleMode::Exhaustive => exhaustive_column(spec, config, durations_min, degree),
+/// One built column: a bound per duration (in input order) plus counters.
+type Column = (Vec<Ratio>, TableBuildStats);
+
+/// The column driver every build shares: `column` builds the column of
+/// one degree. Without `resume`, every column goes in one wave through
+/// [`crate::parallel_map`]. With it, completed columns are restored from
+/// the store, the rest run in budget-wide supervised waves, and each wave
+/// ends with a snapshot.
+fn build_table(
+    durations_min: &[f64],
+    degrees: &[f64],
+    mut resume: Option<(&Supervisor, &mut CheckpointStore)>,
+    column: impl Fn(f64) -> Column + Sync,
+) -> Result<(UpperBoundTable, TableBuildStats), SimError> {
+    validate_axes(durations_min, degrees)?;
+    let mut columns: Vec<Option<Column>> = vec![None; degrees.len()];
+    let mut wave_size = degrees.len();
+    if let Some((_, store)) = &mut resume {
+        if let Some(loaded) = store.load_latest::<TableCkpt>()? {
+            for col in loaded.payload.columns {
+                let index = col.index as usize;
+                if index >= columns.len() || col.bounds.len() != durations_min.len() {
+                    return Err(SimError::checkpoint(
+                        store.dir().display().to_string(),
+                        format!("snapshot column {index} does not fit the requested grid"),
+                    ));
+                }
+                let bounds = col.bounds.iter().map(|&b| Ratio::new(f64::from_bits(b)));
+                columns[index] = Some((bounds.collect(), col.stats));
             }
+        }
+        wave_size = BudgetGuard::current().unwrap_or_else(machine_parallelism);
+    }
+    let supervisor = resume.as_ref().map(|(supervisor, _)| *supervisor);
+    let missing: Vec<usize> = (0..degrees.len())
+        .filter(|&col| columns[col].is_none())
+        .collect();
+    for wave in missing.chunks(wave_size) {
+        let built = crate::parallel_map(wave, |&col| match supervisor {
+            Some(supervisor) => supervisor.call(col, || column(degrees[col])),
+            None => Ok(column(degrees[col])),
         });
-        // Supervisor item indices are wave-local; re-map the first failure
-        // to its column index for the error report.
-        if let Some(first) = report.failures.first() {
-            return Err(SimError::Sweep {
-                item: wave[first.item],
-                attempts: first.attempts,
-                message: first.cause.to_string(),
-            });
+        for (&col, built) in wave.iter().zip(built) {
+            columns[col] = Some(built?);
         }
-        let results = report
-            .into_results()
-            .expect("no failures recorded in this wave");
-        for (&col, built) in wave.iter().zip(results) {
-            columns[col] = Some(built);
-        }
-        let ckpt = TableCkpt {
-            columns: columns
-                .iter()
-                .enumerate()
-                .filter_map(|(i, c)| {
-                    c.as_ref().map(|(bounds, stats)| TableColumnCkpt {
-                        index: i as u64,
-                        bounds: bounds.iter().map(|b| b.as_f64().to_bits()).collect(),
-                        stats: *stats,
+        if let Some((_, store)) = &mut resume {
+            store.save(&TableCkpt {
+                columns: columns
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, c)| {
+                        c.as_ref().map(|(bounds, stats)| TableColumnCkpt {
+                            index: i as u64,
+                            bounds: bounds.iter().map(|b| b.as_f64().to_bits()).collect(),
+                            stats: *stats,
+                        })
                     })
-                })
-                .collect(),
-        };
-        store.save(&ckpt)?;
+                    .collect(),
+            })?;
+        }
     }
 
-    // Assemble exactly as the plain build: stats merged in ascending
-    // column order, cell order durations-outer / degrees-inner.
+    // Stats merge in ascending column order; cells are durations-outer,
+    // degrees-inner.
     let mut stats = TableBuildStats::default();
-    let mut by_column: Vec<Vec<Ratio>> = Vec::with_capacity(degrees.len());
-    for col in columns {
-        let (bounds, col_stats) = col.expect("all columns completed above");
-        stats.merge(col_stats);
-        by_column.push(bounds);
-    }
-    let mut bounds = Vec::with_capacity(durations_min.len() * degrees.len());
-    for d in 0..durations_min.len() {
-        for column in &by_column {
-            bounds.push(column[d]);
-        }
-    }
-    let table = UpperBoundTable::new(durations_min.to_vec(), degrees.to_vec(), bounds)
-        .map_err(SimError::from)?;
+    let columns: Vec<Vec<Ratio>> = columns
+        .into_iter()
+        .map(|column| {
+            let (bounds, column_stats) = column.expect("every column built above");
+            stats.merge(column_stats);
+            bounds
+        })
+        .collect();
+    let bounds = (0..durations_min.len())
+        .flat_map(|d| columns.iter().map(move |column| column[d]))
+        .collect();
+    let table = UpperBoundTable::new(durations_min.to_vec(), degrees.to_vec(), bounds)?;
     Ok((table, stats))
 }
 
-/// Fallible [`validate_axes`], with messages matching the panicking path.
-fn try_validate_axes(durations_min: &[f64], degrees: &[f64]) -> Result<(), SimError> {
-    if durations_min.is_empty() || degrees.is_empty() {
-        return Err(SimError::config("axes must be non-empty"));
+/// Checks the table axes before any work: both non-empty, finite and
+/// strictly ascending, every degree above 1.
+fn validate_axes(durations_min: &[f64], degrees: &[f64]) -> Result<(), SimError> {
+    let ascending = |axis: &[f64]| {
+        !axis.is_empty()
+            && axis.iter().all(|x| x.is_finite())
+            && axis.windows(2).all(|w| w[0] < w[1])
+    };
+    if !ascending(durations_min) || !ascending(degrees) {
+        return Err(SimError::config(
+            "axes must be non-empty, finite and strictly ascending",
+        ));
     }
     if !degrees.iter().all(|&d| d > 1.0) {
         return Err(SimError::config("burst degrees must exceed 1"));
@@ -330,8 +300,7 @@ fn try_validate_axes(durations_min: &[f64], degrees: &[f64]) -> Result<(), SimEr
 ///
 /// # Panics
 ///
-/// Panics if either axis is empty or not strictly ascending, or if a
-/// degree is not greater than 1.
+/// Panics on invalid axes, exactly as [`build_upper_bound_table`].
 #[must_use]
 pub fn build_upper_bound_table_unbatched(
     spec: &DataCenterSpec,
@@ -340,35 +309,63 @@ pub fn build_upper_bound_table_unbatched(
     degrees: &[f64],
     mode: OracleMode,
 ) -> UpperBoundTable {
-    validate_axes(durations_min, degrees);
-    let cells: Vec<(f64, f64)> = durations_min
-        .iter()
-        .flat_map(|&l| degrees.iter().map(move |&b| (l, b)))
-        .collect();
-    let bounds: Vec<Ratio> = crate::parallel_map(&cells, |&(minutes, degree)| {
-        let trace = yahoo_trace::with_burst(0, degree, Seconds::from_minutes(minutes));
-        let scenario = Scenario::new(spec.clone(), config.clone(), trace);
-        match mode {
-            OracleMode::Pruned => pruned_scan(&scenario, &FaultSchedule::NONE).0,
-            OracleMode::Exhaustive => {
-                oracle_search_unbatched(&scenario, &FaultSchedule::NONE, OracleMode::Exhaustive)
-                    .best_bound
-            }
-        }
-    });
-    UpperBoundTable::new(durations_min.to_vec(), degrees.to_vec(), bounds)
-        .expect("axes validated above")
+    let column = |degree| {
+        cellwise_column(spec, config, durations_min, degree, |scenario| {
+            let (bound, tried) = independent_scan(scenario, &FaultSchedule::NONE, mode);
+            (bound, tried.len(), BatchStats::default())
+        })
+    };
+    build_table(durations_min, degrees, None, column)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .0
 }
 
-fn validate_axes(durations_min: &[f64], degrees: &[f64]) {
-    assert!(
-        !durations_min.is_empty() && !degrees.is_empty(),
-        "axes must be non-empty"
-    );
-    assert!(
-        degrees.iter().all(|&d| d > 1.0),
-        "burst degrees must exceed 1"
-    );
+/// A column built by batched lanes: the tapped pruned walk, or each
+/// cell's exhaustive grid as one batch.
+fn batched_column(
+    spec: &DataCenterSpec,
+    config: &ControllerConfig,
+    durations_min: &[f64],
+    degree: f64,
+    mode: OracleMode,
+) -> Column {
+    match mode {
+        OracleMode::Pruned => pruned_column(spec, config, durations_min, degree),
+        OracleMode::Exhaustive => {
+            cellwise_column(spec, config, durations_min, degree, |scenario| {
+                let (bound, tried, batch) =
+                    batched_scan(scenario, &FaultSchedule::NONE, OracleMode::Exhaustive);
+                (bound, tried.len(), batch)
+            })
+        }
+    }
+}
+
+/// A column whose cells are searched one at a time: `scan` returns a
+/// cell's bound, its evaluation count and its batch counters.
+fn cellwise_column(
+    spec: &DataCenterSpec,
+    config: &ControllerConfig,
+    durations_min: &[f64],
+    degree: f64,
+    scan: impl Fn(&Scenario) -> (Ratio, usize, BatchStats),
+) -> Column {
+    let mut stats = TableBuildStats {
+        cells: durations_min.len(),
+        ..TableBuildStats::default()
+    };
+    let bounds = durations_min
+        .iter()
+        .map(|&minutes| {
+            let trace = yahoo_trace::with_burst(0, degree, Seconds::from_minutes(minutes));
+            let (bound, evaluations, batch) =
+                scan(&Scenario::new(spec.clone(), config.clone(), trace));
+            stats.evaluations += evaluations;
+            stats.batch.merge(batch);
+            bound
+        })
+        .collect();
+    (bounds, stats)
 }
 
 /// One pruned column: the per-cell pruned scans for every duration at one
@@ -392,14 +389,14 @@ fn pruned_column(
     config: &ControllerConfig,
     durations_min: &[f64],
     degree: f64,
-) -> (Vec<Ratio>, TableBuildStats) {
+) -> Column {
     let traces: Vec<Trace> = durations_min
         .iter()
         .map(|&minutes| yahoo_trace::with_burst(0, degree, Seconds::from_minutes(minutes)))
         .collect();
     let plans: Vec<ScanPlan> = traces
         .iter()
-        .map(|t| scan_plan(spec, t, &FaultSchedule::NONE))
+        .map(|t| ScanPlan::new(spec, t, &FaultSchedule::NONE, OracleMode::Pruned))
         .collect();
     // The longest burst has the longest trace and every shorter trace as a
     // bitwise prefix up to its own burst end.
@@ -481,19 +478,19 @@ fn pruned_column(
         .enumerate()
         .map(|(c, p)| {
             let m = p.len();
-            if m <= EXHAUST_BELOW {
-                // The first wave already evaluated every candidate.
-                Walk {
-                    lo: 0,
-                    hi: m - 1,
-                    done: true,
-                }
-            } else {
+            if p.refines() {
                 let pivot = p.pivot(&values[c]);
                 Walk {
                     lo: pivot.saturating_sub(1),
                     hi: (pivot + 1).min(m - 1),
                     done: false,
+                }
+            } else {
+                // The first wave already evaluated every candidate.
+                Walk {
+                    lo: 0,
+                    hi: m - 1,
+                    done: true,
                 }
             }
         })
@@ -537,33 +534,6 @@ fn pruned_column(
     (bounds, stats)
 }
 
-/// One exhaustive column: each cell's full degree grid as one batch, with
-/// the historical `max_by` (last-of-ties) selection.
-fn exhaustive_column(
-    spec: &DataCenterSpec,
-    config: &ControllerConfig,
-    durations_min: &[f64],
-    degree: f64,
-) -> (Vec<Ratio>, TableBuildStats) {
-    let grid = degree_grid(spec);
-    let mut stats = TableBuildStats {
-        cells: durations_min.len(),
-        ..TableBuildStats::default()
-    };
-    let bounds = durations_min
-        .iter()
-        .map(|&minutes| {
-            let trace = yahoo_trace::with_burst(0, degree, Seconds::from_minutes(minutes));
-            let scenario = Scenario::new(spec.clone(), config.clone(), trace);
-            let batch = run_bound_batch(&scenario, &grid, &FaultSchedule::NONE);
-            stats.batch.merge(batch.stats);
-            stats.evaluations += grid.len();
-            grid[last_argmax(batch.summaries.iter().map(SimSummary::average_performance))]
-        })
-        .collect();
-    (bounds, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,6 +551,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "axes must be non-empty, finite and strictly ascending")]
+    fn unsorted_axes_panic() {
+        let spec = DataCenterSpec::paper_default().with_scale(1, 200);
+        let _ = build_upper_bound_table(
+            &spec,
+            &ControllerConfig::default(),
+            &[15.0, 1.0, 5.0],
+            &[2.0, 3.2],
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "burst degrees must exceed 1")]
     fn sub_one_degree_panics() {
         let spec = DataCenterSpec::paper_default().with_scale(1, 200);
@@ -594,14 +576,16 @@ mod tests {
         let durations = [1.0, 15.0];
         let degrees = [2.0, 3.2];
         let pruned =
-            build_upper_bound_table_with(&spec, &config, &durations, &degrees, OracleMode::Pruned);
-        let exhaustive = build_upper_bound_table_with(
+            build_upper_bound_table_stats(&spec, &config, &durations, &degrees, OracleMode::Pruned)
+                .0;
+        let exhaustive = build_upper_bound_table_stats(
             &spec,
             &config,
             &durations,
             &degrees,
             OracleMode::Exhaustive,
-        );
+        )
+        .0;
         for &minutes in &durations {
             for &degree in &degrees {
                 assert_eq!(

@@ -14,8 +14,8 @@ use dcs_faults::{ChaosSchedule, FaultSchedule};
 use dcs_power::DataCenterSpec;
 use dcs_sim::{
     build_upper_bound_table_resumable, build_upper_bound_table_stats, oracle_checkpoint_store,
-    oracle_search_resumable, oracle_search_stats, parallel_map, parallel_map_supervised,
-    table_checkpoint_store, OracleMode, RetryPolicy, Scenario, SimError, Supervisor,
+    oracle_search_resumable, oracle_search_stats, parallel_map, table_checkpoint_store,
+    with_worker_budget, OracleMode, RetryPolicy, Scenario, SimError, Supervisor,
 };
 use dcs_units::Seconds;
 use dcs_workload::yahoo_trace;
@@ -49,7 +49,9 @@ fn supervised_map_clean_path_is_bit_identical() {
         (0..100).fold(x as f64, |acc, i| acc + (i as f64).sqrt() * 1e-3)
     };
     let plain = parallel_map(&inputs, f);
-    let supervised = parallel_map_supervised(&inputs, f, RetryPolicy::default())
+    let supervised = Supervisor::new()
+        .with_retry(RetryPolicy::default())
+        .map(&inputs, f)
         .into_results()
         .expect("clean run has no failures");
     assert_eq!(
@@ -91,16 +93,14 @@ fn supervised_map_under_random_chaos_is_bit_identical() {
 #[test]
 fn permanent_failure_names_item_and_payload() {
     let inputs: Vec<usize> = (0..12).collect();
-    let report = parallel_map_supervised(
-        &inputs,
-        |&x| {
+    let report = Supervisor::new()
+        .with_retry(RetryPolicy::attempts(2))
+        .map(&inputs, |&x| {
             if x == 9 {
                 panic!("cell 9 diverged");
             }
             x
-        },
-        RetryPolicy::attempts(2),
-    );
+        });
     assert_eq!(report.failures.len(), 1);
     assert_eq!(report.failures[0].item, 9);
     assert_eq!(report.failures[0].attempts, 2);
@@ -121,6 +121,9 @@ fn resumable_oracle_matches_plain_search_clean_and_faulted() {
         FaultSchedule::NONE,
         FaultSchedule::random(7, s.trace().duration()),
         FaultSchedule::random(23, s.trace().duration()),
+        // Whole-run physical faults: no lane folds, every lane-step live.
+        FaultSchedule::random_physical(7, s.trace().duration()),
+        FaultSchedule::random_physical(23, s.trace().duration()),
     ];
     for faults in &schedules {
         for mode in [OracleMode::Pruned, OracleMode::Exhaustive] {
@@ -250,17 +253,27 @@ fn resumable_table_matches_plain_build() {
     for mode in [OracleMode::Pruned, OracleMode::Exhaustive] {
         let (want, want_stats) =
             build_upper_bound_table_stats(&spec, &config, &DURATIONS, &DEGREES, mode);
-        let dir = scratch_dir("table-clean");
-        let mut store =
-            table_checkpoint_store(&dir, &spec, &config, &DURATIONS, &DEGREES, mode).unwrap();
-        let sup = Supervisor::new();
-        let (got, got_stats) = build_upper_bound_table_resumable(
-            &spec, &config, &DURATIONS, &DEGREES, mode, &sup, &mut store,
-        )
-        .unwrap();
-        assert_eq!(want, got, "mode {mode:?}");
-        assert_eq!(want_stats, got_stats, "mode {mode:?}");
-        std::fs::remove_dir_all(&dir).unwrap();
+        // The resumable build's wave width follows the worker budget, so
+        // run it unpinned and pinned to one and to three workers.
+        for budget in [None, Some(1), Some(3)] {
+            let dir = scratch_dir("table-clean");
+            let mut store =
+                table_checkpoint_store(&dir, &spec, &config, &DURATIONS, &DEGREES, mode).unwrap();
+            let sup = Supervisor::new();
+            let mut build = || {
+                build_upper_bound_table_resumable(
+                    &spec, &config, &DURATIONS, &DEGREES, mode, &sup, &mut store,
+                )
+            };
+            let (got, got_stats) = match budget {
+                None => build(),
+                Some(workers) => with_worker_budget(workers, build),
+            }
+            .unwrap();
+            assert_eq!(want, got, "mode {mode:?}, budget {budget:?}");
+            assert_eq!(want_stats, got_stats, "mode {mode:?}, budget {budget:?}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }
 
@@ -311,7 +324,7 @@ fn table_build_survives_chaos_with_retries() {
     let (spec, config) = table_inputs();
     let mode = OracleMode::Pruned;
     let (want, _) = build_upper_bound_table_stats(&spec, &config, &DURATIONS, &DEGREES, mode);
-    // Column 0 and column 2 panic on their first attempt.
+    // Column 0 panics on its first attempt.
     let chaos = ChaosSchedule::panic_on(0, 0);
     let sup = Supervisor::new()
         .with_retry(RetryPolicy::attempts(2))
@@ -385,6 +398,39 @@ fn table_resumable_rejects_bad_axes_with_config_error() {
         "{err}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn table_resumable_rejects_unsorted_axes_before_any_snapshot() {
+    let (spec, config) = table_inputs();
+    let durations = [15.0, 1.0, 5.0];
+    let degrees = [2.0, 3.2];
+    let dir = scratch_dir("table-unsorted");
+    let mut store = table_checkpoint_store(
+        &dir,
+        &spec,
+        &config,
+        &durations,
+        &degrees,
+        OracleMode::Pruned,
+    )
+    .unwrap();
+    let err = build_upper_bound_table_resumable(
+        &spec,
+        &config,
+        &durations,
+        &degrees,
+        OracleMode::Pruned,
+        &Supervisor::new(),
+        &mut store,
+    )
+    .expect_err("unsorted durations are invalid");
+    assert!(matches!(err, SimError::Config { .. }), "{err}");
+    assert!(err.to_string().contains("strictly ascending"), "{err}");
+    assert_eq!(store.saves(), 0, "no column may be built or saved");
+    let snapshots = std::fs::read_dir(&dir).map_or(0, |entries| entries.count());
+    assert_eq!(snapshots, 0, "a rejected build must leave no snapshot");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // --- Randomized soak: chaos + fault schedules, small scale --------------

@@ -7,9 +7,9 @@ use dcs_faults::{FaultEvent, FaultKind, FaultSchedule};
 use dcs_power::DataCenterSpec;
 use dcs_server::{ChipSpec, ScalingModel, ServerSpec};
 use dcs_sim::{
-    build_upper_bound_table_stats, machine_parallelism, oracle_search, oracle_search_exhaustive,
-    oracle_search_stats, oracle_search_unbatched, oracle_search_with, run_bound_batch,
-    run_summary_with_faults, run_with_faults, with_worker_budget, OracleMode, Scenario,
+    build_upper_bound_table_stats, machine_parallelism, oracle_search, oracle_search_stats,
+    oracle_search_unbatched, run_bound_batch, run_summary_with_faults, run_with_faults,
+    with_worker_budget, OracleMode, Scenario,
 };
 use dcs_units::{Power, Ratio, Seconds};
 use dcs_workload::yahoo_trace;
@@ -112,7 +112,7 @@ proptest! {
     ) {
         let s = scenario(seed, degree, minutes);
         let pruned = oracle_search(&s);
-        let exhaustive = oracle_search_exhaustive(&s);
+        let exhaustive = oracle_search_stats(&s, &FaultSchedule::NONE, OracleMode::Exhaustive).0;
         prop_assert_eq!(pruned.best_bound, exhaustive.best_bound);
         prop_assert_eq!(pruned.best, exhaustive.best);
     }
@@ -127,8 +127,8 @@ proptest! {
     ) {
         let s = scenario(seed, degree, 8.0);
         let faults = FaultSchedule::random(fault_seed, s.trace().duration());
-        let pruned = oracle_search_with(&s, &faults, OracleMode::Pruned);
-        let exhaustive = oracle_search_with(&s, &faults, OracleMode::Exhaustive);
+        let pruned = oracle_search_stats(&s, &faults, OracleMode::Pruned).0;
+        let exhaustive = oracle_search_stats(&s, &faults, OracleMode::Exhaustive).0;
         prop_assert_eq!(pruned.best_bound, exhaustive.best_bound);
         prop_assert_eq!(pruned.best, exhaustive.best);
     }
@@ -142,7 +142,7 @@ proptest! {
     ) {
         let s = scenario(seed, degree, 10.0);
         let pruned = oracle_search(&s);
-        let exhaustive = oracle_search_exhaustive(&s);
+        let exhaustive = oracle_search_stats(&s, &FaultSchedule::NONE, OracleMode::Exhaustive).0;
         prop_assert!(pruned.tried.len() <= exhaustive.tried.len());
         for pair in &pruned.tried {
             prop_assert!(

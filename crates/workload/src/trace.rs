@@ -6,7 +6,9 @@ use serde::{Deserialize, Serialize};
 /// A demand trace sampled at a fixed interval.
 ///
 /// Samples are normalized demand (1.0 = the data center's peak normal
-/// serving capacity) and must be finite and non-negative. Lookups between
+/// serving capacity) and must be finite and non-negative. Decoding goes
+/// through [`Trace::new`], so a serialized trace that breaks these rules
+/// is rejected where it enters, not mid-run. Lookups between
 /// samples use zero-order hold; lookups past the end return the last
 /// sample.
 ///
@@ -21,10 +23,21 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.demand_at(Seconds::new(1.2)), 1.5);
 /// assert_eq!(t.peak(), 2.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Trace {
     step: Seconds,
     samples: Vec<f64>,
+}
+
+impl Deserialize for Trace {
+    fn from_value(value: &serde::Value) -> Result<Trace, serde::DeError> {
+        let entries = value
+            .as_object()
+            .ok_or_else(|| serde::DeError::expected("object", "Trace"))?;
+        let step = serde::de::field(entries, "step", "Trace")?;
+        let samples = serde::de::field(entries, "samples", "Trace")?;
+        Trace::new(step, samples).map_err(|e| serde::DeError(format!("Trace: {e}")))
+    }
 }
 
 /// Error returned when constructing an invalid trace.
@@ -220,6 +233,27 @@ mod tests {
             Trace::new(Seconds::new(1.0), vec![f64::NAN]),
             Err(TraceError::BadSample { index: 0, .. })
         ));
+    }
+
+    /// A serialized trace with its step and samples replaced.
+    fn encoded(step: f64, samples: &[f64]) -> serde::Value {
+        serde::Value::Object(vec![
+            ("step".into(), serde::Value::F64(step)),
+            ("samples".into(), samples.to_vec().to_value()),
+        ])
+    }
+
+    #[test]
+    fn decoding_validates_like_construction() {
+        assert_eq!(Trace::from_value(&trace().to_value()), Ok(trace()));
+        for (step, samples, want) in [
+            (60.0, vec![0.5, -5.0], "sample 1 is invalid: -5"),
+            (60.0, vec![f64::NAN, 0.5], "sample 0 is invalid: NaN"),
+            (0.0, vec![0.5], "step must be positive"),
+        ] {
+            let err = Trace::from_value(&encoded(step, &samples)).expect_err("invalid trace");
+            assert!(err.0.contains(want), "{err}");
+        }
     }
 
     #[test]

@@ -16,6 +16,20 @@ where
 }
 
 #[test]
+fn scenario_with_a_negative_sample_is_rejected_at_decode() {
+    let scenario = Scenario::new(
+        DataCenterSpec::paper_default().with_scale(2, 20),
+        ControllerConfig::default(),
+        yahoo_trace::with_burst(1, 3.0, Seconds::from_minutes(5.0)),
+    );
+    let json = serde_json::to_string(&scenario).expect("serializes");
+    let bad = json.replacen("\"samples\":[", "\"samples\":[-5.0,", 1);
+    assert_ne!(bad, json, "the samples array was found");
+    let err = serde_json::from_str::<Scenario>(&bad).expect_err("negative demand");
+    assert!(err.to_string().contains("sample 0 is invalid: -5"), "{err}");
+}
+
+#[test]
 fn controller_config_round_trips() {
     let config = ControllerConfig::default();
     let back = round_trip(&config);
