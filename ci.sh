@@ -18,6 +18,20 @@ echo "== size (informational, not a gate) =="
 # First-party Rust outside the fixed benchmark crate: the line count
 # ROADMAP.md quotes, from the command it quotes.
 find src crates tests examples -name '*.rs' -not -path 'crates/benchmark/*' | xargs cat | wc -l
+# Dead surface: `pub fn`s outside the benchmark crate whose name no other
+# first-party file mentions. Some stay on purpose (test and documented
+# hooks, accessors a test checks other behaviour through); the count is
+# printed so that new dead surface shows up in review.
+mapfile -t rs_files < <(find src crates tests examples -name '*.rs')
+dead_pub_fns=0
+while read -r file name; do
+  others=$(grep -lw -- "$name" "${rs_files[@]}" | grep -cvx -- "$file" || true)
+  if [ "$others" -eq 0 ]; then
+    dead_pub_fns=$((dead_pub_fns + 1))
+  fi
+done < <(grep -Ho 'pub fn [a-z0-9_]*' "${rs_files[@]}" | grep -v '^crates/benchmark/' \
+  | sed 's/:pub fn / /' | sort -u)
+echo "$dead_pub_fns pub fns referenced nowhere outside their own file"
 
 echo "== rustfmt =="
 fmt_paths=(src crates/*/src crates/*/tests tests examples)

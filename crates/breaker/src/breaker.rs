@@ -219,7 +219,7 @@ impl CircuitBreaker {
 
     /// Returns the load ratio a given power draw represents on this breaker.
     #[must_use]
-    pub fn load_ratio(&self, load: Power) -> Ratio {
+    fn load_ratio(&self, load: Power) -> Ratio {
         load.ratio_of(self.effective_rated())
     }
 

@@ -62,12 +62,6 @@ impl PowerCurve {
     pub fn server(&self) -> &ServerSpec {
         &self.server
     }
-
-    /// Returns the server count.
-    #[must_use]
-    pub fn server_count(&self) -> usize {
-        self.server_count
-    }
 }
 
 /// Facts fixed at sprint start, handed to strategies by

@@ -495,7 +495,7 @@ impl<'a> FacilityState<'a> {
     /// `ServerSpec::capacity_at_cores` without the per-call `powf`.
     #[inline]
     #[must_use]
-    pub fn capacity_of(&self, cores: u32) -> f64 {
+    fn capacity_of(&self, cores: u32) -> f64 {
         self.capacity_by_cores[cores as usize]
     }
 

@@ -68,7 +68,7 @@ impl Heuristic {
 
     /// Returns the initial upper bound `SDe_ini = SDe_p × (1 + K%)`.
     #[must_use]
-    pub fn initial_bound(&self) -> Ratio {
+    fn initial_bound(&self) -> Ratio {
         Ratio::new(self.sde_p.predicted() * (1.0 + self.flexibility))
     }
 

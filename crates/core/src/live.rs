@@ -2,10 +2,10 @@
 //! [`StepSink`].
 //!
 //! Offline engines materialize a whole run's records; a daemon serving
-//! decisions indefinitely cannot. [`ServiceSink`] keeps lifetime counters
-//! plus a fixed-capacity ring of the most recent [`StepRecord`]s, and
-//! summarizes the ring into a [`WindowStats`] on demand — constant memory
-//! no matter how long the service runs.
+//! decisions indefinitely cannot. [`ServiceSink`] keeps a fixed-capacity
+//! ring of the most recent [`StepRecord`]s and summarizes it into a
+//! [`WindowStats`] on demand — constant memory no matter how long the
+//! service runs.
 
 use std::collections::VecDeque;
 
@@ -34,8 +34,8 @@ pub struct WindowStats {
     pub peak_demand: Option<f64>,
 }
 
-/// A constant-memory [`StepSink`] for live serving: lifetime counters
-/// plus a bounded ring of recent records.
+/// A constant-memory [`StepSink`] for live serving: a bounded ring of
+/// recent records.
 ///
 /// # Examples
 ///
@@ -54,17 +54,12 @@ pub struct WindowStats {
 ///     let input = dcs_core::StepInput::nominal(facility.now(), demand, Seconds::new(1.0));
 ///     step_cycle(&mut facility, &mut policy, &input, &mut sink);
 /// }
-/// assert_eq!(sink.decisions(), 6);
 /// assert_eq!(sink.window().steps, 4, "ring keeps only the newest 4");
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServiceSink {
     capacity: usize,
     recent: VecDeque<StepRecord>,
-    decisions: u64,
-    sprint_steps: u64,
-    shed_steps: u64,
-    trips: u64,
 }
 
 impl ServiceSink {
@@ -76,59 +71,16 @@ impl ServiceSink {
         ServiceSink {
             capacity,
             recent: VecDeque::with_capacity(capacity),
-            decisions: 0,
-            sprint_steps: 0,
-            shed_steps: 0,
-            trips: 0,
         }
-    }
-
-    /// Lifetime step count.
-    #[must_use]
-    pub fn decisions(&self) -> u64 {
-        self.decisions
-    }
-
-    /// Lifetime count of steps with an active sprint.
-    #[must_use]
-    pub fn sprint_steps(&self) -> u64 {
-        self.sprint_steps
-    }
-
-    /// Lifetime count of steps that shed cores.
-    #[must_use]
-    pub fn shed_steps(&self) -> u64 {
-        self.shed_steps
-    }
-
-    /// Lifetime breaker-trip count.
-    #[must_use]
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-
-    /// The newest record in the window, if any.
-    #[must_use]
-    pub fn last(&self) -> Option<&StepRecord> {
-        self.recent.back()
     }
 
     /// Consumes one finished step's effects (the non-generic entry point
     /// for drivers that do not go through [`crate::step_cycle`]).
     pub fn absorb(&mut self, effects: &StepEffects) {
-        let rec = &effects.record;
-        self.decisions += 1;
-        if rec.sprinting {
-            self.sprint_steps += 1;
-        }
-        if rec.shed_reason.is_some() {
-            self.shed_steps += 1;
-        }
-        self.trips += effects.trips.len() as u64;
         if self.recent.len() == self.capacity {
             self.recent.pop_front();
         }
-        self.recent.push_back(*rec);
+        self.recent.push_back(effects.record);
     }
 
     /// Summarizes the current window.
@@ -181,7 +133,7 @@ mod tests {
     use dcs_units::Seconds;
 
     #[test]
-    fn window_is_bounded_and_counters_are_lifetime() {
+    fn window_is_bounded_to_the_newest_steps() {
         let spec = DataCenterSpec::paper_default().with_scale(2, 50);
         let config = ControllerConfig::default();
         let mut facility = FacilityState::new(&spec, &config);
@@ -192,16 +144,12 @@ mod tests {
             let input = StepInput::nominal(facility.now(), demand, Seconds::new(1.0));
             step_cycle(&mut facility, &mut policy, &input, &mut sink);
         }
-        assert_eq!(sink.decisions(), demands.len() as u64);
-        assert!(sink.sprint_steps() >= 2, "the burst sprinted");
         let window = sink.window();
         assert_eq!(window.steps, 3, "ring is bounded");
-        // The last three demands are quiet: no sprinting in the window even
-        // though the lifetime counter saw the burst.
+        // The last three demands are quiet: the burst has left the window.
         assert_eq!(window.sprint_steps, 0);
         assert_eq!(window.peak_demand, Some(0.5));
         assert!(window.mean_served.unwrap() > 0.0);
-        assert_eq!(sink.last().unwrap().demand, 0.5);
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl Prediction {
     ///
     /// Panics if `avg_degree` is not strictly positive.
     #[must_use]
-    pub fn equivalent_duration(&self, max_degree: Ratio, avg_degree: Ratio) -> Seconds {
+    fn equivalent_duration(&self, max_degree: Ratio, avg_degree: Ratio) -> Seconds {
         assert!(avg_degree.as_f64() > 0.0, "average degree must be positive");
         self.predicted_duration() * (max_degree.as_f64() / avg_degree.as_f64())
     }

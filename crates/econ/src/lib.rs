@@ -120,7 +120,7 @@ impl EconModel {
     ///
     /// Panics if `l_minutes` is negative.
     #[must_use]
-    pub fn monthly_request_revenue(&self, l_minutes: f64, m: f64, k: u32) -> f64 {
+    fn monthly_request_revenue(&self, l_minutes: f64, m: f64, k: u32) -> f64 {
         assert!(l_minutes >= 0.0, "duration must be non-negative");
         self.outage_cost_per_minute * l_minutes * (m - 1.0).max(0.0) * f64::from(k)
     }

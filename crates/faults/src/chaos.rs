@@ -2,10 +2,11 @@
 //!
 //! The schedules in the crate root degrade the *modeled facility*; the
 //! [`ChaosSchedule`] here degrades the *harness that simulates it*: it
-//! tells a supervised executor (see `dcs_sim::Supervisor`) to
-//! panic or stall a specific work item on a specific attempt. Like the
-//! plant schedules, chaos is plain data — deterministic, seedable, and
-//! serde round-trippable — so a chaotic run is exactly reproducible.
+//! tells a supervised executor (`dcs_sim::Supervisor`, or the live
+//! service's decision engine) to panic or stall a specific work item on a
+//! specific attempt. Like the plant schedules, chaos is plain data —
+//! deterministic, seedable, and serde round-trippable — so a chaotic run
+//! is exactly reproducible.
 //!
 //! Chaos only ever perturbs *attempts*; a perturbed attempt's output is
 //! discarded and the item retried, so a supervised computation that
@@ -33,8 +34,12 @@ use serde::{Deserialize, Serialize};
 pub enum ChaosKind {
     /// The attempt panics (inside the supervisor's isolation boundary).
     Panic,
-    /// The attempt stalls for `millis` before doing its work — long enough
-    /// stalls trip the supervisor's per-item deadline.
+    /// The attempt stalls for `millis` before doing its work. A supervised
+    /// sweep only runs slower: the stalled attempt still returns its
+    /// result. In the live service a stall longer than the decision
+    /// deadline answers that request with a typed `503 deadline_exceeded`
+    /// and flips the service to degraded serving until the watchdog finds
+    /// the engine healthy again.
     Delay {
         /// Injected stall in milliseconds.
         millis: u64,
@@ -130,30 +135,6 @@ impl ChaosSchedule {
         ChaosSchedule { events }
     }
 
-    /// A periodic stall: every `period`-th item (0, `period`, 2·`period`,
-    /// …) stalls for `millis` on its first attempt, for the first `count`
-    /// stalls. A live service's decision loop consumes items as
-    /// monotonically increasing decision indices, so this models a plant
-    /// interface that intermittently freezes — the scenario behind the
-    /// service's degraded-serving watchdog.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    #[must_use]
-    pub fn delay_every(period: usize, millis: u64, count: usize) -> ChaosSchedule {
-        assert!(period > 0, "period must be positive");
-        ChaosSchedule {
-            events: (0..count)
-                .map(|i| ChaosEvent {
-                    item: i * period,
-                    attempt: 0,
-                    kind: ChaosKind::Delay { millis },
-                })
-                .collect(),
-        }
-    }
-
     /// Returns the perturbation scheduled for `item`'s `attempt`-th try,
     /// if any (first matching event wins).
     #[must_use]
@@ -206,16 +187,6 @@ mod tests {
         assert!(a.events().iter().all(|e| e.item < 64));
         let c = ChaosSchedule::random(10, 64);
         assert_ne!(a, c, "different seeds should differ");
-    }
-
-    #[test]
-    fn delay_every_stalls_periodic_items() {
-        let chaos = ChaosSchedule::delay_every(3, 25, 2);
-        assert_eq!(chaos.lookup(0, 0), Some(&ChaosKind::Delay { millis: 25 }));
-        assert_eq!(chaos.lookup(3, 0), Some(&ChaosKind::Delay { millis: 25 }));
-        assert_eq!(chaos.lookup(6, 0), None, "count bounds the stalls");
-        assert_eq!(chaos.lookup(1, 0), None);
-        assert_eq!(chaos.lookup(0, 1), None, "retries run clean");
     }
 
     #[test]

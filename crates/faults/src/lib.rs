@@ -487,14 +487,14 @@ impl FaultSchedule {
 /// The deterministic sensor-noise stream the controller draws from while a
 /// [`FaultKind::SensorNoise`] window is active.
 #[derive(Debug, Clone)]
-pub struct SensorRng {
+struct SensorRng {
     rng: StdRng,
 }
 
 impl SensorRng {
     /// Creates a stream from a seed.
     #[must_use]
-    pub fn new(seed: u64) -> SensorRng {
+    fn new(seed: u64) -> SensorRng {
         SensorRng {
             rng: StdRng::seed_from_u64(seed),
         }
@@ -504,7 +504,7 @@ impl SensorRng {
     /// truncated (by rejection) at ±3σ. The truncation bounds the
     /// controller's worst-case observation error, which is what lets a
     /// fixed guard band restore the no-overheat guarantee under noise.
-    pub fn truncated_gauss(&mut self, sigma: f64) -> f64 {
+    fn truncated_gauss(&mut self, sigma: f64) -> f64 {
         if sigma <= 0.0 {
             return 0.0;
         }

@@ -122,12 +122,6 @@ impl DataCenterSpec {
         self.pdu_count * self.servers_per_pdu
     }
 
-    /// Returns the DC-level headroom ratio.
-    #[must_use]
-    pub fn dc_headroom(&self) -> Ratio {
-        self.dc_headroom
-    }
-
     /// Returns the PUE (servers + cooling only).
     #[must_use]
     pub fn pue(&self) -> f64 {
@@ -169,21 +163,6 @@ impl DataCenterSpec {
     pub fn dc_rated(&self) -> Power {
         sizing::rating_with_headroom(self.peak_normal_total_power(), self.dc_headroom)
     }
-
-    /// Returns the maximum IT power a full sprint could draw (all cores on
-    /// every server busy).
-    #[must_use]
-    pub fn max_sprint_it_power(&self) -> Power {
-        self.server.max_power() * self.total_servers() as f64
-    }
-
-    /// Returns the maximum *additional* IT power a full sprint adds over
-    /// the peak normal point — the quantity the TES activation deadline
-    /// divides by.
-    #[must_use]
-    pub fn max_additional_it_power(&self) -> Power {
-        self.max_sprint_it_power() - self.peak_normal_it_power()
-    }
 }
 
 impl Default for DataCenterSpec {
@@ -218,13 +197,6 @@ mod tests {
         assert!((s.dc_rated().as_megawatts() - 15.147 * 1.1).abs() < 1e-6);
         let nec = s.clone().with_dc_headroom(Ratio::from_percent(25.0));
         assert!((nec.dc_rated().as_megawatts() - 15.147 * 1.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sprint_power_envelope() {
-        let s = DataCenterSpec::paper_default();
-        assert!((s.max_sprint_it_power().as_megawatts() - 26.1).abs() < 1e-9);
-        assert!((s.max_additional_it_power().as_megawatts() - 16.2).abs() < 1e-9);
     }
 
     #[test]

@@ -71,12 +71,6 @@ impl ChipSpec {
         self.idle_power
     }
 
-    /// Returns the draw of one fully utilized core.
-    #[must_use]
-    pub fn per_core_power(&self) -> Power {
-        self.per_core_power
-    }
-
     /// Returns the chip power with `active` cores running at the given
     /// average `utilization` (0–1).
     ///

@@ -89,12 +89,6 @@ impl ServerSpec {
         &self.chip
     }
 
-    /// Returns the constant non-CPU power.
-    #[must_use]
-    pub fn non_cpu_power(&self) -> Power {
-        self.non_cpu_power
-    }
-
     /// Returns the number of normally active cores.
     #[must_use]
     pub fn normal_cores(&self) -> u32 {
@@ -227,56 +221,6 @@ impl ServerSpec {
         };
         self.power_at(active, utilization)
     }
-
-    /// Returns normalized throughput per watt at a core count, serving at
-    /// full utilization.
-    ///
-    /// Note that this *total* efficiency improves with core count because
-    /// the fixed 25 W of idle + non-CPU power amortizes; the quantity that
-    /// degrades — and that makes constrained sprinting degrees win — is the
-    /// *sprint* efficiency, see [`ServerSpec::sprint_efficiency_at_cores`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active` is zero or exceeds the chip's cores.
-    #[must_use]
-    pub fn efficiency_at_cores(&self, active: u32) -> f64 {
-        assert!(active > 0, "need at least one active core");
-        self.capacity_at_cores(active) / self.power_at(active, 1.0).as_watts()
-    }
-
-    /// Returns the *additional* work served per *additional* watt when
-    /// sprinting at `active` cores instead of the normal core count — the
-    /// power efficiency of the stored energy a sprint consumes.
-    ///
-    /// Because throughput is sub-linear in cores while sprint power is
-    /// linear, this decreases as the sprinting degree grows: exactly the
-    /// paper's observation that "a lower sprinting degree can have a higher
-    /// power efficiency", which is why constraining the degree can extend a
-    /// sprint enough to win overall.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active` is not strictly greater than the normal core
-    /// count or exceeds the chip's cores.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dcs_server::ServerSpec;
-    /// let s = ServerSpec::paper_default();
-    /// assert!(s.sprint_efficiency_at_cores(24) > s.sprint_efficiency_at_cores(48));
-    /// ```
-    #[must_use]
-    pub fn sprint_efficiency_at_cores(&self, active: u32) -> f64 {
-        assert!(
-            active > self.normal_cores,
-            "sprint efficiency needs more than the normal cores"
-        );
-        let extra_work = self.capacity_at_cores(active) - 1.0;
-        let extra_power = self.power_at(active, 1.0) - self.peak_normal_power();
-        extra_work / extra_power.as_watts()
-    }
 }
 
 impl std::fmt::Display for ServerSpec {
@@ -365,25 +309,6 @@ mod tests {
         // Half demand on 12 cores: half the core power.
         let half = s.power_serving(12, Ratio::new(0.5));
         assert_eq!(half.as_watts(), 20.0 + 5.0 + 15.0);
-    }
-
-    #[test]
-    fn sprint_efficiency_decreases_with_degree() {
-        let s = spec();
-        let mut prev = f64::INFINITY;
-        for cores in (16..=48).step_by(4) {
-            let e = s.sprint_efficiency_at_cores(cores);
-            assert!(e < prev, "sprint efficiency rose at {cores} cores");
-            prev = e;
-        }
-    }
-
-    #[test]
-    fn total_efficiency_amortizes_fixed_power() {
-        // Documented behaviour: total perf/W improves with cores because
-        // the fixed 25 W amortizes; only the sprint efficiency degrades.
-        let s = spec();
-        assert!(s.efficiency_at_cores(48) > s.efficiency_at_cores(12));
     }
 
     #[test]

@@ -198,12 +198,6 @@ impl RetryClient {
         self.stats
     }
 
-    /// The decision index the next `/step` will claim, if known.
-    #[must_use]
-    pub fn next_index(&self) -> Option<u64> {
-        self.next_index
-    }
-
     /// Runs one idempotent control step: sends `demand` tagged with the
     /// expected decision index, retrying ambiguous failures without ever
     /// double-advancing the plant.

@@ -62,8 +62,8 @@ pub struct ServiceConfig {
     /// Stale-feed window in milliseconds before the watchdog degrades
     /// the service (default 5000).
     pub stale_after_ms: Option<u64>,
-    /// Decisions between hot-state checkpoints (default 16; 1 makes every
-    /// decision durable).
+    /// Decisions between hot-state checkpoints (default 16; 1 checkpoints
+    /// every decision).
     pub checkpoint_every: Option<u64>,
     /// Recent-step telemetry window (default 256).
     pub window_steps: Option<usize>,

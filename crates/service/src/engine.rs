@@ -12,7 +12,10 @@
 //! chaos-injected) answers that one request with a typed error and the
 //! engine keeps serving. Every `checkpoint_every` decisions the hot state
 //! is checkpointed; on boot (and on plant rebuild) the newest intact
-//! snapshot is restored, so a `kill -9` resumes bit-identically.
+//! snapshot is restored, so a `kill -9` resumes bit-identically. A failed
+//! checkpoint write does not stop serving: it is counted in
+//! `checkpoint_failures`, and `/status` reports `durability: lagging`
+//! until a later write succeeds.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -33,7 +36,9 @@ use dcs_units::Seconds;
 
 use crate::config::ServiceConfig;
 use crate::hot::{ServiceHotState, HOT_STATE_KIND, HOT_STATE_SCHEMA};
-use crate::protocol::{BreakerStatus, FacilityStatus, SprintStatus, TesStatus, UpsStatus};
+use crate::protocol::{
+    BreakerStatus, Durability, FacilityStatus, SprintStatus, TesStatus, UpsStatus,
+};
 
 /// Serving-state machine position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +54,7 @@ pub enum Mode {
 impl Mode {
     /// Decodes the atomic representation.
     #[must_use]
-    pub fn from_u8(raw: u8) -> Mode {
+    fn from_u8(raw: u8) -> Mode {
         match raw {
             1 => Mode::Degraded,
             2 => Mode::Draining,
@@ -59,7 +64,7 @@ impl Mode {
 
     /// Encodes for the atomic.
     #[must_use]
-    pub fn as_u8(self) -> u8 {
+    fn as_u8(self) -> u8 {
         match self {
             Mode::Serving => 0,
             Mode::Degraded => 1,
@@ -194,6 +199,8 @@ pub struct Counters {
     pub parse_rejects: AtomicU64,
     /// Idempotent retries answered from the replay cache.
     pub replays_served: AtomicU64,
+    /// Hot-state checkpoint writes that failed.
+    pub checkpoint_failures: AtomicU64,
 }
 
 /// The engine-maintained part of `/status`, refreshed after every
@@ -209,12 +216,15 @@ pub struct EngineStatus {
     pub sprint: SprintStatus,
     /// Recent-step telemetry.
     pub window: WindowStats,
+    /// Whether checkpoints are reaching the state directory.
+    pub durability: Durability,
 }
 
 /// State shared between the engine, the watchdog, and every connection
 /// thread.
 pub struct Shared {
-    /// Current [`Mode`], encoded via [`Mode::as_u8`].
+    /// Current [`Mode`], encoded as a `u8` (serving 0, degraded 1,
+    /// draining 2).
     pub mode: AtomicU8,
     /// The demand feed has gone silent past the configured window.
     pub stale_feed: AtomicBool,
@@ -378,6 +388,7 @@ fn publish_status(
     facility: &FacilityState<'_>,
     policy: &SprintPolicy,
     sink: &ServiceSink,
+    durability: Durability,
 ) {
     let snapshot = EngineStatus {
         decisions,
@@ -388,11 +399,41 @@ fn publish_status(
             terminated: policy.export_hot_state().terminated,
         },
         window: sink.window(),
+        durability,
     };
     let mut status = shared.status.lock().expect("status lock");
     // Only the first publish can have waiters; later ones skip the wake.
     if status.replace(snapshot).is_none() {
         shared.status_ready.notify_all();
+    }
+}
+
+/// Writes one hot-state snapshot. A failed write is counted and logged,
+/// and the engine keeps serving; the result is the durability `/status`
+/// reports until the next write.
+fn save_hot_state(
+    store: &mut CheckpointStore,
+    shared: &Shared,
+    decisions: u64,
+    facility: &FacilityState<'_>,
+    policy: &SprintPolicy,
+) -> Durability {
+    let hot = ServiceHotState {
+        schema: HOT_STATE_SCHEMA.to_string(),
+        decisions,
+        facility: facility.export_hot_state(),
+        policy: policy.export_hot_state(),
+    };
+    match store.save(&hot) {
+        Ok(()) => Durability::Durable,
+        Err(e) => {
+            shared
+                .counters
+                .checkpoint_failures
+                .fetch_add(1, Ordering::SeqCst);
+            eprintln!("sprintd: checkpoint at decision {decisions} failed: {e}");
+            Durability::Lagging
+        }
     }
 }
 
@@ -435,7 +476,12 @@ pub fn run_engine(
         shared
             .failsafe_cores
             .store(facility.normal_cores(), Ordering::SeqCst);
-        publish_status(shared, decisions, &facility, &policy, &sink);
+        let mut durability = if store.is_some() {
+            Durability::Durable
+        } else {
+            Durability::Off
+        };
+        publish_status(shared, decisions, &facility, &policy, &sink, durability);
         let mut dirty = false;
         // Failed tries at the current decision index: chaos events target
         // (index, attempt), so a panicked decision index 0 retried by the
@@ -520,20 +566,15 @@ pub fn run_engine(
                             dirty = true;
                             if decisions.is_multiple_of(config.checkpoint_every()) {
                                 if let Some(store) = store.as_mut() {
-                                    let hot = ServiceHotState {
-                                        schema: HOT_STATE_SCHEMA.to_string(),
-                                        decisions,
-                                        facility: facility.export_hot_state(),
-                                        policy: policy.export_hot_state(),
-                                    };
-                                    if let Err(e) = store.save(&hot) {
-                                        eprintln!("sprintd: checkpoint failed: {e}");
-                                    } else {
-                                        dirty = false;
-                                    }
+                                    durability = save_hot_state(
+                                        store, shared, decisions, &facility, &policy,
+                                    );
+                                    dirty = durability == Durability::Lagging;
                                 }
                             }
-                            publish_status(shared, decisions, &facility, &policy, &sink);
+                            publish_status(
+                                shared, decisions, &facility, &policy, &sink, durability,
+                            );
                             let outcome = StepOutcome {
                                 record: effects.record,
                                 decision_index: index,
@@ -568,7 +609,7 @@ pub fn run_engine(
                         config = new_config.clone();
                         *shared.config.lock().expect("config lock") = new_config;
                         shared.config_generation.fetch_add(1, Ordering::SeqCst);
-                        publish_status(shared, decisions, &facility, &policy, &sink);
+                        publish_status(shared, decisions, &facility, &policy, &sink, durability);
                         let _ = reply.try_send(Ok(ReloadOutcome { rebuilt: false }));
                     } else {
                         // A different plant: open its store first so a
@@ -598,15 +639,7 @@ pub fn run_engine(
                 EngineMsg::Drain { reply } => {
                     if dirty {
                         if let Some(store) = store.as_mut() {
-                            let hot = ServiceHotState {
-                                schema: HOT_STATE_SCHEMA.to_string(),
-                                decisions,
-                                facility: facility.export_hot_state(),
-                                policy: policy.export_hot_state(),
-                            };
-                            if let Err(e) = store.save(&hot) {
-                                eprintln!("sprintd: final checkpoint failed: {e}");
-                            }
+                            save_hot_state(store, shared, decisions, &facility, &policy);
                         }
                     }
                     let _ = reply.try_send(());

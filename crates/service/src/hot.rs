@@ -7,7 +7,8 @@
 //! [`dcs_sim::CheckpointStore`] — atomic tmp+rename snapshots with
 //! checksums, so a `kill -9` mid-save leaves the previous snapshot
 //! intact. On boot the newest intact snapshot is imported and the
-//! facility resumes bit-identically.
+//! facility resumes bit-identically. The store does not fsync: a snapshot
+//! survives the death of the process, not a host crash or power loss.
 
 use dcs_core::{FacilityHotState, PolicyHotState};
 use serde::{Deserialize, Serialize};
@@ -18,7 +19,7 @@ pub const HOT_STATE_SCHEMA: &str = "dcs-service/hot-state-v1";
 /// The checkpoint kind recorded in every snapshot header.
 pub const HOT_STATE_KIND: &str = "dcs-service/hot-state";
 
-/// One durable snapshot of the service's mutable state.
+/// One snapshot of the service's mutable state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceHotState {
     /// Snapshot schema tag ([`HOT_STATE_SCHEMA`]).

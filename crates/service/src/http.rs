@@ -318,7 +318,7 @@ pub fn read_request<R: BufRead>(
 
 /// The reason phrase for a status the service emits.
 #[must_use]
-pub fn reason_phrase(status: u16) -> &'static str {
+fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",

@@ -25,7 +25,9 @@
 //! - **Crash-safe hot state.** Breaker thermal memory, UPS/TES charge,
 //!   room temperature, ledgers, and the sprint lifecycle are
 //!   checkpointed atomically; after a `kill -9`, a restart restores the
-//!   newest intact snapshot and the physics resumes bit-identically.
+//!   newest intact snapshot and the physics resumes bit-identically. A
+//!   failed checkpoint write is counted and shown as `durability:
+//!   lagging` in `/status`; serving continues.
 //! - **Validated hot reload.** `POST /reload` parses and validates the
 //!   full config before anything swaps; an invalid config leaves the
 //!   running one untouched and reports a typed error.
@@ -56,9 +58,9 @@ pub use engine::{
 pub use hot::{ServiceHotState, HOT_STATE_KIND, HOT_STATE_SCHEMA};
 pub use netchaos::{ChaosProxy, FaultDirection, FaultKind, FaultPlan, ProxyStats};
 pub use protocol::{
-    BreakerStatus, DegradedFlags, DrainStatus, ErrorBody, ErrorDetail, FacilityStatus, HealthBody,
-    ReloadResponse, ServiceCounters, ShutdownResponse, SprintStatus, StatusBody, StepBody,
-    StepResponse, TesStatus, UpsStatus, STATUS_SCHEMA,
+    BreakerStatus, DegradedFlags, DrainStatus, Durability, ErrorBody, ErrorDetail, FacilityStatus,
+    HealthBody, ReloadResponse, ServiceCounters, ShutdownResponse, SprintStatus, StatusBody,
+    StepBody, StepResponse, TesStatus, UpsStatus, STATUS_SCHEMA,
 };
 pub use service::{ServiceOptions, SprintService};
 

@@ -204,6 +204,24 @@ pub struct ServiceCounters {
     /// Idempotent retries answered from the replay cache.
     #[serde(default)]
     pub replays_served: u64,
+    /// Hot-state checkpoint writes that failed.
+    #[serde(default)]
+    pub checkpoint_failures: u64,
+}
+
+/// Whether the plant's hot state is reaching the state directory, in
+/// `/status`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
+pub enum Durability {
+    /// Every checkpoint written so far succeeded: a restart resumes from
+    /// the newest one.
+    Durable,
+    /// The latest checkpoint write failed; a restart would resume from an
+    /// older snapshot. Clears when a later write succeeds.
+    Lagging,
+    /// No state directory: nothing is persisted.
+    Off,
 }
 
 /// Drain standing in `/status`: what a graceful shutdown is waiting on.
@@ -236,6 +254,8 @@ pub struct StatusBody {
     pub degraded: DegradedFlags,
     /// Since-boot counters.
     pub counters: ServiceCounters,
+    /// Whether checkpoints are reaching the state directory.
+    pub durability: Durability,
     /// Drain standing (what a graceful shutdown waits on).
     #[serde(default)]
     pub drain: DrainStatus,

@@ -556,7 +556,9 @@ fn handle_status(shared: &Arc<Shared>) -> (u16, String) {
             connections_rejected: counters.connections_rejected.load(Ordering::SeqCst),
             parse_rejects: counters.parse_rejects.load(Ordering::SeqCst),
             replays_served: counters.replays_served.load(Ordering::SeqCst),
+            checkpoint_failures: counters.checkpoint_failures.load(Ordering::SeqCst),
         },
+        durability: engine.durability,
         drain: DrainStatus {
             draining: shared.mode() == Mode::Draining,
             since_ms: (drain_since != u64::MAX).then_some(drain_since),

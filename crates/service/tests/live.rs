@@ -1,16 +1,18 @@
 //! In-process end-to-end tests for the live service: normal serving,
 //! typed errors, backpressure, deadline overruns, stale-feed degradation
-//! and recovery, validated reloads, chaos isolation, and
-//! checkpoint/restore across a clean restart.
+//! and recovery, validated reloads, chaos isolation,
+//! checkpoint/restore across a clean restart, and failed checkpoint
+//! writes.
 
 mod common;
 
+use std::net::SocketAddr;
 use std::time::Duration;
 
 use common::{request, scratch_dir, step, KeepAlive};
 use dcs_faults::{ChaosEvent, ChaosKind, ChaosSchedule};
 use dcs_service::{
-    ErrorBody, HealthBody, ReloadResponse, RetryClient, ServiceConfig, ServiceOptions,
+    Durability, ErrorBody, HealthBody, ReloadResponse, RetryClient, ServiceConfig, ServiceOptions,
     SprintService, StatusBody, StepResponse, STATUS_SCHEMA,
 };
 
@@ -57,6 +59,7 @@ fn serves_steps_and_status() {
     assert!(status_body.facility.breakers[0].no_trip_limit_w > 0.0);
     assert!(status_body.sprint.active);
     assert_eq!(status_body.window.steps, 2);
+    assert_eq!(status_body.durability, Durability::Off, "no state dir");
 
     let (status, body) = request(addr, "GET", "/healthz", None);
     assert_eq!(status, 200);
@@ -410,6 +413,52 @@ fn clean_restart_restores_checkpointed_state() {
 
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A checkpoint write that fails does not stop serving: `/status` counts
+/// it and reports `lagging`. The plant's checkpoint directory is replaced
+/// by a regular file, which fails the write even for a root user.
+#[test]
+fn failed_checkpoint_is_counted_and_reported_lagging() {
+    fn status(addr: SocketAddr) -> StatusBody {
+        let (code, body) = request(addr, "GET", "/status", None);
+        assert_eq!(code, 200, "{body}");
+        parse(&body)
+    }
+    let dir = scratch_dir("lagging");
+    let mut config = small_config();
+    config.checkpoint_every = Some(1);
+    let options = ServiceOptions {
+        state_dir: Some(dir.clone()),
+        chaos: ChaosSchedule::none(),
+    };
+    let service = spawn(config.clone(), options);
+    let addr = service.addr();
+    let (code, body) = step(addr, 0.6);
+    assert_eq!(code, 200, "{body}");
+    let healthy = status(addr);
+    assert_eq!(healthy.durability, Durability::Durable);
+    assert_eq!(healthy.counters.checkpoint_failures, 0);
+
+    let plant_dir = dir.join(format!("plant-{:016x}", config.plant_fingerprint()));
+    std::fs::remove_dir_all(&plant_dir).expect("remove the plant's checkpoint directory");
+    std::fs::write(&plant_dir, "not a directory").expect("put a file in its place");
+    let (code, body) = step(addr, 0.6);
+    assert_eq!(
+        code, 200,
+        "a failed checkpoint must not fail the step: {body}"
+    );
+    let lagging = status(addr);
+    assert_eq!(lagging.decisions, 2);
+    assert!(
+        lagging.counters.checkpoint_failures >= 1,
+        "{:?}",
+        lagging.counters
+    );
+    assert_eq!(lagging.durability, Durability::Lagging);
+    service.shutdown();
+
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -143,8 +143,8 @@ impl CheckpointStore {
 
     /// Arms the kill-after-save test hook: the `n`-th successful
     /// [`save`](Self::save) in this store's lifetime returns
-    /// [`SimError::Interrupted`] *after* the snapshot is durably on disk,
-    /// simulating a process killed exactly at a snapshot boundary.
+    /// [`SimError::Interrupted`] *after* the snapshot has been renamed into
+    /// place, simulating a process killed exactly at a snapshot boundary.
     #[must_use]
     pub fn with_kill_after(mut self, saves: u64) -> CheckpointStore {
         self.kill_after = Some(saves);
@@ -164,9 +164,15 @@ impl CheckpointStore {
     }
 
     /// Writes a snapshot atomically: serialize, write header + payload to
-    /// `snap-NNNNNN.json.tmp`, fsync-free rename into place, prune old
-    /// snapshots beyond the keep window. Returns [`SimError::Interrupted`]
-    /// if the kill-after hook fires (the snapshot itself is intact).
+    /// `snap-NNNNNN.json.tmp`, rename into place, prune old snapshots
+    /// beyond the keep window. Returns [`SimError::Interrupted`] if the
+    /// kill-after hook fires (the snapshot itself is intact).
+    ///
+    /// Nothing is fsynced: a saved snapshot survives the death of this
+    /// process (the kernel still holds the written pages), but not a host
+    /// crash or power loss, after which the newest snapshot may be missing
+    /// or truncated and [`load_latest`](Self::load_latest) falls back to an
+    /// older one.
     pub fn save<P: Serialize>(&mut self, payload: &P) -> Result<(), SimError> {
         let body = serde_json::to_string(payload)
             .map_err(|e| SimError::checkpoint(self.dir.display().to_string(), e.to_string()))?;

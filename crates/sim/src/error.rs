@@ -87,7 +87,7 @@ pub enum SimError {
         item: usize,
         /// How many attempts were made.
         attempts: u32,
-        /// The final failure (panic payload or deadline description).
+        /// The last attempt's failure (its rendered panic payload).
         message: String,
     },
     /// A checkpoint could not be saved or no usable snapshot was found.

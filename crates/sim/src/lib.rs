@@ -38,12 +38,11 @@
 //! * [`simd`] — the hand-rolled `f64x4` kernel behind the batch engine's
 //!   structure-of-arrays lane accumulators and span folds (bit-identical
 //!   to the scalar path by construction);
-//! * [`Supervisor`] — the supervised slow path: per-item panic isolation
-//!   (`catch_unwind`), retries with capped exponential backoff, a per-item
-//!   deadline checked when each attempt returns (an overrunning result is
-//!   discarded and retried; nothing is interrupted), and a structured
-//!   [`SweepReport`] instead of a blanket abort. [`Supervisor::map`] runs
-//!   on [`parallel_map`]'s workers; the supervisor starts no threads;
+//! * [`Supervisor`] — the supervised slow path the resumable searches
+//!   run each chunk through: per-item panic isolation (`catch_unwind`),
+//!   retries with capped exponential backoff, and a typed
+//!   [`SimError::Sweep`] naming the item and its panic payload instead of
+//!   a blanket abort. It runs on the calling thread and starts no threads;
 //! * [`CheckpointStore`] + [`oracle_search_resumable`] /
 //!   [`build_upper_bound_table_resumable`] — atomic, checksummed
 //!   snapshots of completed lanes/cells so a killed provisioning sweep
@@ -103,9 +102,7 @@ pub use runner::{
 };
 pub use scenario::{Scenario, SimResult, SimSummary};
 pub use sink::{RecordSink, SummaryFold};
-pub use supervisor::{
-    FailureCause, RetryPolicy, Supervisor, SweepFailure, SweepRecovery, SweepReport,
-};
+pub use supervisor::{RetryPolicy, Supervisor};
 pub use sweep::{machine_parallelism, parallel_map, with_worker_budget};
 pub use table_builder::{
     build_upper_bound_table, build_upper_bound_table_resumable, build_upper_bound_table_stats,

@@ -1,6 +1,6 @@
 //! Scenario definition and simulation results.
 
-use dcs_core::{ControllerConfig, Phase, StepRecord};
+use dcs_core::{ControllerConfig, StepRecord};
 use dcs_power::DataCenterSpec;
 use dcs_server::ServerSpec;
 use dcs_units::{Energy, Seconds};
@@ -150,12 +150,6 @@ impl SimResult {
     #[must_use]
     pub fn any_overheated(&self) -> bool {
         self.records.iter().any(|r| r.overheated)
-    }
-
-    /// Returns the total time spent in a given methodology phase.
-    #[must_use]
-    pub fn time_in_phase(&self, phase: Phase, dt: Seconds) -> Seconds {
-        dt * self.records.iter().filter(|r| r.phase == phase).count() as f64
     }
 
     /// Returns the shares of additional energy provided by
@@ -310,6 +304,7 @@ impl SimSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcs_core::Phase;
     use dcs_units::{Celsius, Power, Ratio};
 
     fn record(served: f64, phase: Phase, tripped: bool) -> StepRecord {
@@ -360,17 +355,13 @@ mod tests {
     }
 
     #[test]
-    fn trip_and_phase_queries() {
+    fn any_tripped_finds_a_trip() {
         let r = result(vec![
             record(1.0, Phase::CbOnly, false),
             record(1.0, Phase::Ups, true),
             record(1.0, Phase::Ups, false),
         ]);
         assert!(r.any_tripped());
-        assert_eq!(
-            r.time_in_phase(Phase::Ups, Seconds::new(1.0)),
-            Seconds::new(2.0)
-        );
     }
 
     #[test]

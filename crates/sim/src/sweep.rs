@@ -116,8 +116,8 @@ pub(crate) fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> Str
 /// and the original payload rendered into the message, e.g.
 /// `"sweep worker panicked on item 17: boom"`. When several workers panic
 /// in the same sweep, the lowest failing item index is reported. Callers
-/// that need per-item isolation instead of propagation should use
-/// [`Supervisor::map`](crate::Supervisor::map).
+/// that need per-item isolation instead of propagation should run each
+/// item through [`Supervisor::call`](crate::Supervisor::call).
 ///
 /// # Examples
 ///

@@ -1,10 +1,10 @@
 //! Chaos/soak suite for the supervised execution layer.
 //!
-//! Every property here is an *equality*: supervised or resumable runs
-//! under injected harness faults — worker panics, deadline-tripping
-//! stalls, kills at snapshot boundaries, truncated and bit-flipped
-//! snapshots — must produce outputs bit-identical to clean, unsupervised
-//! runs. The PR 3 batched-vs-independent oracles make that checkable.
+//! Every resumable property here is an *equality*: supervised or
+//! resumable runs under injected harness faults — worker panics, stalls,
+//! kills at snapshot boundaries, truncated and bit-flipped snapshots —
+//! must produce outputs bit-identical to clean, unsupervised runs. The
+//! batched-vs-independent references make that checkable.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,8 +14,8 @@ use dcs_faults::{ChaosSchedule, FaultSchedule};
 use dcs_power::DataCenterSpec;
 use dcs_sim::{
     build_upper_bound_table_resumable, build_upper_bound_table_stats, oracle_checkpoint_store,
-    oracle_search_resumable, oracle_search_stats, parallel_map, table_checkpoint_store,
-    with_worker_budget, OracleMode, RetryPolicy, Scenario, SimError, Supervisor,
+    oracle_search_resumable, oracle_search_stats, table_checkpoint_store, with_worker_budget,
+    OracleMode, RetryPolicy, Scenario, SimError, Supervisor,
 };
 use dcs_units::Seconds;
 use dcs_workload::yahoo_trace;
@@ -38,73 +38,26 @@ fn scenario(degree: f64, minutes: f64) -> Scenario {
     )
 }
 
-// --- Supervised map vs. plain parallel_map ------------------------------
-
-#[test]
-fn supervised_map_clean_path_is_bit_identical() {
-    let inputs: Vec<u64> = (0..40).collect();
-    let f = |&x: &u64| {
-        // A float-heavy closure: any re-ordering or double-evaluation bug
-        // would show up in the bits.
-        (0..100).fold(x as f64, |acc, i| acc + (i as f64).sqrt() * 1e-3)
-    };
-    let plain = parallel_map(&inputs, f);
-    let supervised = Supervisor::new()
-        .with_retry(RetryPolicy::default())
-        .map(&inputs, f)
-        .into_results()
-        .expect("clean run has no failures");
-    assert_eq!(
-        plain.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        supervised.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-    );
-}
-
-#[test]
-fn supervised_map_under_random_chaos_is_bit_identical() {
-    let inputs: Vec<u64> = (0..30).collect();
-    let f = |&x: &u64| (x as f64).sin() * 1e6;
-    let clean = parallel_map(&inputs, f);
-    for seed in 0..4_u64 {
-        let chaos = ChaosSchedule::random(seed, inputs.len());
-        let sup = Supervisor::new()
-            .with_retry(RetryPolicy::attempts(3).with_deadline_ms(2_000))
-            .with_chaos(chaos.clone());
-        let report = sup.map(&inputs, f);
-        assert!(
-            report.is_complete(),
-            "seed {seed}: failures {:?}",
-            report.failures
-        );
-        // Every chaos-perturbed item must appear in the recovery records.
-        let perturbed: Vec<usize> = chaos.events().iter().map(|e| e.item).collect();
-        for r in &report.recovered {
-            assert!(perturbed.contains(&r.item), "seed {seed}: item {}", r.item);
-        }
-        let results = report.into_results().unwrap();
-        assert_eq!(
-            clean.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            results.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "seed {seed}"
-        );
-    }
-}
+// --- Supervised call ------------------------------------------------------
 
 #[test]
 fn permanent_failure_names_item_and_payload() {
-    let inputs: Vec<usize> = (0..12).collect();
-    let report = Supervisor::new()
-        .with_retry(RetryPolicy::attempts(2))
-        .map(&inputs, |&x| {
-            if x == 9 {
-                panic!("cell 9 diverged");
+    let sup = Supervisor::new().with_retry(RetryPolicy::attempts(2));
+    let err = sup
+        .call(9, || -> usize { panic!("cell 9 diverged") })
+        .expect_err("must surface");
+    assert!(
+        matches!(
+            err,
+            SimError::Sweep {
+                item: 9,
+                attempts: 2,
+                ..
             }
-            x
-        });
-    assert_eq!(report.failures.len(), 1);
-    assert_eq!(report.failures[0].item, 9);
-    assert_eq!(report.failures[0].attempts, 2);
-    let err = report.into_results().expect_err("must surface");
+        ),
+        "{err}"
+    );
+    assert_eq!(err.exit_code(), 6);
     let msg = err.to_string();
     assert!(
         msg.contains("item 9") && msg.contains("cell 9 diverged"),

@@ -105,28 +105,10 @@ impl TesTank {
         (self.stored - self.capacity * (1.0 - self.capacity_factor)).max_zero()
     }
 
-    /// Sets the maximum heat-absorption rate and returns the tank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive.
-    #[must_use]
-    pub fn with_max_rate(mut self, rate: Power) -> TesTank {
-        assert!(rate > Power::ZERO, "max rate must be positive");
-        self.max_rate = rate;
-        self
-    }
-
     /// Returns the heat capacity of the tank.
     #[must_use]
     pub fn capacity(&self) -> Energy {
         self.capacity
-    }
-
-    /// Returns the maximum heat-absorption rate.
-    #[must_use]
-    pub fn max_rate(&self) -> Power {
-        self.max_rate
     }
 
     /// Returns the heat rate the tank could sustain for an interval of
@@ -258,9 +240,10 @@ mod tests {
 
     #[test]
     fn discharge_respects_max_rate() {
-        let mut t = tank().with_max_rate(Power::from_megawatts(5.0));
+        // The flow limit defaults to twice the 10 MW sizing load.
+        let mut t = tank();
         let got = t.discharge(Power::from_megawatts(50.0), Seconds::new(60.0));
-        assert_eq!(got.as_megawatts(), 5.0);
+        assert_eq!(got.as_megawatts(), 20.0);
     }
 
     #[test]

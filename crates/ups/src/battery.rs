@@ -28,8 +28,7 @@ pub struct Battery {
     chemistry: Chemistry,
     capacity: Energy,
     stored: Energy,
-    /// Cumulative energy drawn from the cells (before efficiency), used for
-    /// equivalent-full-cycle accounting.
+    /// Cumulative energy drawn from the cells (before efficiency).
     throughput: Energy,
     /// Number of discharge *events* (transitions from idle to discharging).
     discharge_events: u32,
@@ -191,38 +190,10 @@ impl Battery {
         accepted / dt
     }
 
-    /// Returns the number of equivalent full cycles implied by the total
-    /// discharge throughput.
-    #[must_use]
-    pub fn equivalent_full_cycles(&self) -> f64 {
-        self.throughput.as_joules() / self.capacity.as_joules()
-    }
-
     /// Returns the number of distinct discharge events so far.
     #[must_use]
     pub fn discharge_events(&self) -> u32 {
         self.discharge_events
-    }
-
-    /// Returns `true` if `events_per_month` discharge events of
-    /// `depth` (fraction of capacity each) stay within the chemistry's
-    /// tolerated monthly full discharges, i.e. sprinting at this cadence has
-    /// no battery-lifetime cost.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dcs_ups::{Battery, Chemistry};
-    /// use dcs_units::{Charge, Ratio};
-    /// let b = Battery::new(Chemistry::LithiumIronPhosphate, Charge::from_amp_hours(0.5));
-    /// // The paper's MS-trace month: 200 bursts at 26% depth each.
-    /// assert!(b.within_lifetime_budget(200, Ratio::from_percent(26.0)));
-    /// ```
-    #[must_use]
-    pub fn within_lifetime_budget(&self, events_per_month: u32, depth: Ratio) -> bool {
-        let full_equiv = f64::from(events_per_month) * depth.as_f64().max(0.0);
-        full_equiv <= f64::from(self.chemistry.tolerated_full_discharges_per_month()) * 6.0
-            && depth.as_f64() <= self.chemistry.max_depth_of_discharge()
     }
 }
 
@@ -308,24 +279,13 @@ mod tests {
     }
 
     #[test]
-    fn equivalent_cycles_track_throughput() {
+    fn throughput_counts_cell_energy() {
         let mut b = lfp();
         let cap = b.capacity();
         // Draw half the capacity (at the cells).
         let half = cap * 0.5 * b.chemistry().discharge_efficiency();
         b.discharge(half / Seconds::new(60.0), Seconds::new(60.0));
-        assert!((b.equivalent_full_cycles() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lifetime_budget_matches_paper_examples() {
-        let b = lfp();
-        // 10 full discharges/month is explicitly fine.
-        assert!(b.within_lifetime_budget(10, Ratio::ONE));
-        // The MS-trace month: 200 bursts at 26% depth — fine per [18].
-        assert!(b.within_lifetime_budget(200, Ratio::from_percent(26.0)));
-        // An absurd cadence is not.
-        assert!(!b.within_lifetime_budget(2000, Ratio::ONE));
+        assert!((b.throughput.as_joules() / cap.as_joules() - 0.5).abs() < 1e-9);
     }
 
     #[test]

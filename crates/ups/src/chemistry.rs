@@ -1,6 +1,5 @@
 //! Battery chemistry parameters.
 
-use dcs_units::Seconds;
 use serde::{Deserialize, Serialize};
 
 /// A battery chemistry and its datacenter-relevant parameters.
@@ -17,8 +16,7 @@ use serde::{Deserialize, Serialize};
 /// use dcs_ups::Chemistry;
 ///
 /// let lfp = Chemistry::LithiumIronPhosphate;
-/// assert_eq!(lfp.tolerated_full_discharges_per_month(), 10);
-/// assert_eq!(lfp.required_service_years(), 8);
+/// assert!(lfp.discharge_efficiency() > Chemistry::LeadAcid.discharge_efficiency());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Chemistry {
@@ -57,34 +55,6 @@ impl Chemistry {
             Chemistry::LithiumIronPhosphate => 1.00,
         }
     }
-
-    /// Full discharges per month that do not shorten the battery's life
-    /// below its required service life (\[18\]).
-    #[must_use]
-    pub fn tolerated_full_discharges_per_month(self) -> u32 {
-        match self {
-            Chemistry::LeadAcid => 2,
-            Chemistry::LithiumIronPhosphate => 10,
-        }
-    }
-
-    /// Required service life in years (4 for LA, 8 for LFP, per the paper).
-    #[must_use]
-    pub fn required_service_years(self) -> u32 {
-        match self {
-            Chemistry::LeadAcid => 4,
-            Chemistry::LithiumIronPhosphate => 8,
-        }
-    }
-
-    /// Typical switchover time from mains to battery. The paper notes a UPS
-    /// can start "within several milliseconds" — far below the simulation
-    /// step, so the simulator treats switchover as instantaneous but the
-    /// constant is kept for documentation and testbed emulation.
-    #[must_use]
-    pub fn switchover_time(self) -> Seconds {
-        Seconds::new(0.005)
-    }
 }
 
 impl std::fmt::Display for Chemistry {
@@ -101,30 +71,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lfp_tolerates_more_cycles_than_la() {
-        assert!(
-            Chemistry::LithiumIronPhosphate.tolerated_full_discharges_per_month()
-                > Chemistry::LeadAcid.tolerated_full_discharges_per_month()
-        );
-    }
-
-    #[test]
-    fn service_years_match_paper() {
-        assert_eq!(Chemistry::LeadAcid.required_service_years(), 4);
-        assert_eq!(Chemistry::LithiumIronPhosphate.required_service_years(), 8);
-    }
-
-    #[test]
     fn efficiencies_are_fractions() {
         for c in [Chemistry::LeadAcid, Chemistry::LithiumIronPhosphate] {
             assert!(c.discharge_efficiency() > 0.0 && c.discharge_efficiency() <= 1.0);
             assert!(c.max_depth_of_discharge() > 0.0 && c.max_depth_of_discharge() <= 1.0);
         }
-    }
-
-    #[test]
-    fn switchover_is_milliseconds() {
-        assert!(Chemistry::LithiumIronPhosphate.switchover_time() < Seconds::new(0.05));
     }
 
     #[test]

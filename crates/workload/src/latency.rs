@@ -64,12 +64,6 @@ impl LatencyModel {
         }
     }
 
-    /// Returns the intrinsic service time.
-    #[must_use]
-    pub fn service_time(&self) -> Seconds {
-        self.service_time
-    }
-
     /// Returns the mean response time at a utilization (values outside
     /// `[0, max_utilization]` are clamped).
     ///

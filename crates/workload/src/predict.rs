@@ -61,22 +61,10 @@ impl Estimate {
         self.true_value * (1.0 + self.error)
     }
 
-    /// Returns the underlying true value.
-    #[must_use]
-    pub fn true_value(&self) -> f64 {
-        self.true_value
-    }
-
     /// Returns the relative error.
     #[must_use]
     pub fn error(&self) -> f64 {
         self.error
-    }
-
-    /// Returns `true` if the prediction overestimates the true value.
-    #[must_use]
-    pub fn is_overestimate(&self) -> bool {
-        self.error > 0.0
     }
 }
 
@@ -100,14 +88,12 @@ mod tests {
     fn zero_error_is_exact() {
         let e = Estimate::exact(16.2);
         assert_eq!(e.predicted(), 16.2);
-        assert!(!e.is_overestimate());
     }
 
     #[test]
     fn positive_error_overestimates() {
         let e = Estimate::with_error(10.0, 0.6);
         assert!((e.predicted() - 16.0).abs() < 1e-12);
-        assert!(e.is_overestimate());
     }
 
     #[test]

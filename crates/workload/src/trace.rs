@@ -167,19 +167,6 @@ impl Trace {
         }
     }
 
-    /// Returns a copy rescaled so its peak equals `target`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is all zeros or `target` is negative or not
-    /// finite.
-    #[must_use]
-    pub fn normalized_to_peak(&self, target: f64) -> Trace {
-        let peak = self.peak();
-        assert!(peak > 0.0, "cannot normalize an all-zero trace");
-        self.scaled(target / peak)
-    }
-
     /// Returns the sub-trace covering `[start, end)`.
     ///
     /// # Panics
@@ -276,11 +263,9 @@ mod tests {
     }
 
     #[test]
-    fn scaling_and_normalizing() {
+    fn scaling_multiplies_the_peak() {
         let t = trace().scaled(2.0);
         assert_eq!(t.peak(), 4.0);
-        let n = t.normalized_to_peak(3.0);
-        assert!((n.peak() - 3.0).abs() < 1e-12);
     }
 
     #[test]
