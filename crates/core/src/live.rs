@@ -153,6 +153,23 @@ mod tests {
     }
 
     #[test]
+    fn window_counts_the_burst_while_it_is_in_view() {
+        let spec = DataCenterSpec::paper_default().with_scale(2, 50);
+        let config = ControllerConfig::default();
+        let mut facility = FacilityState::new(&spec, &config);
+        let mut policy = SprintPolicy::new(Box::new(Greedy), &spec);
+        let mut sink = ServiceSink::with_window(4);
+        for demand in [0.5, 2.0, 2.5, 0.5] {
+            let input = StepInput::nominal(facility.now(), demand, Seconds::new(1.0));
+            step_cycle(&mut facility, &mut policy, &input, &mut sink);
+        }
+        let window = sink.window();
+        assert_eq!(window.steps, 4);
+        assert!(window.sprint_steps >= 2, "the burst sprinted");
+        assert_eq!(window.peak_demand, Some(2.5));
+    }
+
+    #[test]
     fn empty_window_reports_none() {
         let sink = ServiceSink::with_window(8);
         let window = sink.window();

@@ -178,6 +178,15 @@ mod tests {
     }
 
     #[test]
+    fn delay_on_stalls_only_the_named_attempt() {
+        let chaos = ChaosSchedule::delay_on(3, 0, 25);
+        assert_eq!(chaos.events().len(), 1);
+        assert_eq!(chaos.lookup(3, 0), Some(&ChaosKind::Delay { millis: 25 }));
+        assert_eq!(chaos.lookup(3, 1), None, "retries run clean");
+        assert_eq!(chaos.lookup(2, 0), None);
+    }
+
+    #[test]
     fn random_is_deterministic_and_first_attempt_only() {
         let a = ChaosSchedule::random(9, 64);
         let b = ChaosSchedule::random(9, 64);

@@ -200,6 +200,16 @@ mod tests {
     }
 
     #[test]
+    fn sprint_power_envelope() {
+        // A full sprint (every core busy on every server) draws 26.1 MW of
+        // IT power, 16.2 MW over the peak normal point.
+        let s = DataCenterSpec::paper_default();
+        let full_sprint = s.server().max_power() * s.total_servers() as f64;
+        assert!((full_sprint.as_megawatts() - 26.1).abs() < 1e-9);
+        assert!(((full_sprint - s.peak_normal_it_power()).as_megawatts() - 16.2).abs() < 1e-9);
+    }
+
+    #[test]
     fn builder_knobs() {
         let s = DataCenterSpec::paper_default()
             .with_pue(1.3)

@@ -312,6 +312,35 @@ mod tests {
     }
 
     #[test]
+    fn sprint_efficiency_decreases_with_degree() {
+        // Extra work per extra watt over the normal point falls as the
+        // degree grows: the paper's "a lower sprinting degree can have a
+        // higher power efficiency".
+        let s = spec();
+        let sprint_efficiency = |cores: u32| {
+            let extra_work = s.capacity_at_cores(cores) - 1.0;
+            let extra_power = s.power_at(cores, 1.0) - s.peak_normal_power();
+            extra_work / extra_power.as_watts()
+        };
+        let mut prev = f64::INFINITY;
+        for cores in (16..=48).step_by(4) {
+            let e = sprint_efficiency(cores);
+            assert!(e < prev, "sprint efficiency rose at {cores} cores");
+            prev = e;
+        }
+    }
+
+    #[test]
+    fn total_efficiency_amortizes_fixed_power() {
+        // Total perf/W improves with cores because the fixed 25 W of idle
+        // and non-CPU power amortizes; only the sprint efficiency degrades.
+        let s = spec();
+        let efficiency =
+            |cores: u32| s.capacity_at_cores(cores) / s.power_at(cores, 1.0).as_watts();
+        assert!(efficiency(48) > efficiency(12));
+    }
+
+    #[test]
     fn linear_ablation_restores_proportionality() {
         let s = spec().with_scaling(ScalingModel::Linear);
         assert_eq!(s.capacity_at_cores(48), 4.0);

@@ -649,3 +649,15 @@ pub fn run_engine(
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mode_round_trips_through_its_atomic_byte() {
+        for mode in [Mode::Serving, Mode::Degraded, Mode::Draining] {
+            assert_eq!(Mode::from_u8(mode.as_u8()), mode);
+        }
+    }
+}

@@ -355,3 +355,30 @@ pub fn write_json(stream: &mut TcpStream, status: u16, body: &str, close: bool) 
     render_json(&mut message, status, body, close);
     stream.write_all(&message).is_ok() && stream.flush().is_ok()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn render_json_frames_status_length_and_connection() {
+        let mut out = Vec::new();
+        render_json(&mut out, 409, "{\"a\":1}", false);
+        let text = String::from_utf8(out).expect("ascii");
+        assert_eq!(
+            text,
+            "HTTP/1.1 409 Conflict\r\ncontent-type: application/json\r\n\
+             content-length: 7\r\nconnection: keep-alive\r\n\r\n{\"a\":1}"
+        );
+        let mut out = Vec::new();
+        render_json(&mut out, 503, "", true);
+        let text = String::from_utf8(out).expect("ascii");
+        assert!(
+            text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{text}"
+        );
+        assert!(text.ends_with("connection: close\r\n\r\n"), "{text}");
+        // A status the service never emits reads as a server error.
+        assert_eq!(reason_phrase(599), "Internal Server Error");
+    }
+}

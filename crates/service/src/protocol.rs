@@ -310,3 +310,33 @@ pub struct ShutdownResponse {
     /// Always `true`: the service is now draining.
     pub draining: bool,
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn durability_wire_names_are_snake_case() {
+        for (durability, name) in [
+            (Durability::Durable, "\"durable\""),
+            (Durability::Lagging, "\"lagging\""),
+            (Durability::Off, "\"off\""),
+        ] {
+            assert_eq!(serde_json::to_string(&durability).unwrap(), name);
+            assert_eq!(
+                serde_json::from_str::<Durability>(name).unwrap(),
+                durability
+            );
+        }
+    }
+
+    #[test]
+    fn counters_without_checkpoint_failures_decode_as_zero() {
+        // A `/status` written before the field existed still decodes.
+        let json = r#"{"served":4,"timeouts":0,"backpressure":0,"degraded_served":0,
+            "reloads":0,"reloads_rejected":0}"#;
+        let counters: ServiceCounters = serde_json::from_str(json).expect("decodes");
+        assert_eq!(counters.served, 4);
+        assert_eq!(counters.checkpoint_failures, 0);
+    }
+}

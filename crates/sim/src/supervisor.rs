@@ -160,7 +160,9 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::parallel_map;
     use dcs_faults::ChaosEvent;
+    use std::cell::Cell;
     use std::time::Instant;
 
     #[test]
@@ -173,6 +175,121 @@ mod tests {
         let err = fatal.call(0, || 1).expect_err("no retries left");
         assert_eq!(err.exit_code(), 6);
         assert!(err.to_string().contains("injected chaos panic"), "{err}");
+    }
+
+    #[test]
+    fn clean_map_matches_parallel_map() {
+        // A sweep with one supervised `call` per item is bit-identical to
+        // the plain `parallel_map` fast path when nothing fails.
+        let inputs: Vec<usize> = (0..24).collect();
+        let f = |x: usize| (0..50).fold(x as f64, |acc, i| acc + f64::from(i).sqrt() * 1e-3);
+        let plain = parallel_map(&inputs, |&x| f(x));
+        let sup = Supervisor::new().with_retry(RetryPolicy::attempts(3));
+        let supervised = parallel_map(&inputs, |&x| sup.call(x, || f(x)).expect("clean item"));
+        assert_eq!(
+            plain.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            supervised.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn injected_chaos_recovers_with_retries() {
+        // Item 2 panics on its first two attempts; a third attempt is
+        // enough, two are not.
+        let chaos = ChaosSchedule::panic_on(2, 0).with(ChaosEvent {
+            item: 2,
+            attempt: 1,
+            kind: ChaosKind::Panic,
+        });
+        let runs = Cell::new(0_u32);
+        let work = || {
+            runs.set(runs.get() + 1);
+            7_u64
+        };
+        let three = Supervisor::new()
+            .with_retry(RetryPolicy::attempts(3))
+            .with_chaos(chaos.clone());
+        assert_eq!(three.call(2, work).unwrap(), 7);
+        assert_eq!(runs.get(), 1, "perturbed attempts never reach the work");
+        assert_eq!(three.call(1, work).unwrap(), 7, "other items run clean");
+        let two = Supervisor::new()
+            .with_retry(RetryPolicy::attempts(2))
+            .with_chaos(chaos);
+        let err = two.call(2, work).expect_err("both attempts are perturbed");
+        assert!(
+            matches!(
+                err,
+                SimError::Sweep {
+                    item: 2,
+                    attempts: 2,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn panic_is_isolated_and_reported() {
+        let sup = Supervisor::new();
+        let err = sup
+            .call(5, || -> u32 { panic!("cell {} diverged", 5) })
+            .expect_err("the only attempt panics");
+        match &err {
+            SimError::Sweep {
+                item,
+                attempts,
+                message,
+            } => {
+                assert_eq!((*item, *attempts), (5, 1));
+                assert_eq!(message, "panicked: cell 5 diverged");
+            }
+            other => panic!("expected a sweep error, got {other}"),
+        }
+        // The panic stayed inside the boundary: the caller and the same
+        // supervisor carry on.
+        assert_eq!(sup.call(6, || 3).unwrap(), 3);
+    }
+
+    #[test]
+    fn zero_attempt_policy_runs_once() {
+        let policy = RetryPolicy {
+            max_attempts: 0,
+            initial_backoff_ms: 0,
+            max_backoff_ms: 0,
+        };
+        let runs = Cell::new(0_u32);
+        let sup = Supervisor::new().with_retry(policy);
+        assert_eq!(
+            sup.call(0, || {
+                runs.set(runs.get() + 1);
+                1
+            })
+            .unwrap(),
+            1
+        );
+        assert_eq!(runs.get(), 1);
+        let err = sup
+            .call(0, || -> u32 { panic!("always") })
+            .expect_err("one attempt, and it panics");
+        assert!(matches!(err, SimError::Sweep { attempts: 1, .. }), "{err}");
+    }
+
+    #[test]
+    fn stalled_attempt_still_returns_its_result() {
+        // A stall only slows the attempt down: its result is kept and no
+        // retry runs.
+        let runs = Cell::new(0_u32);
+        let sup = Supervisor::new().with_chaos(ChaosSchedule::delay_on(4, 0, 20));
+        let started = Instant::now();
+        let value = sup
+            .call(4, || {
+                runs.set(runs.get() + 1);
+                11
+            })
+            .unwrap();
+        assert_eq!((value, runs.get()), (11, 1));
+        assert!(started.elapsed() >= Duration::from_millis(20));
     }
 
     #[test]
@@ -226,6 +343,16 @@ mod tests {
             elapsed < Duration::from_secs(30),
             "no second backoff may follow the final attempt, took {elapsed:?}"
         );
+    }
+
+    #[test]
+    fn attempts_policy_clamps_to_one_and_uses_the_house_backoff() {
+        assert_eq!(RetryPolicy::attempts(0).max_attempts, 1);
+        let policy = RetryPolicy::attempts(8);
+        assert_eq!(policy.max_attempts, 8);
+        let backoffs: Vec<u64> = (0..7).map(|retry| policy.backoff_ms(retry)).collect();
+        assert_eq!(backoffs, [1, 2, 4, 8, 16, 16, 16]);
+        assert_eq!(RetryPolicy::default().backoff_ms(3), 0, "no backoff");
     }
 
     #[test]

@@ -14,8 +14,8 @@ use dcs_faults::{ChaosSchedule, FaultSchedule};
 use dcs_power::DataCenterSpec;
 use dcs_sim::{
     build_upper_bound_table_resumable, build_upper_bound_table_stats, oracle_checkpoint_store,
-    oracle_search_resumable, oracle_search_stats, table_checkpoint_store, with_worker_budget,
-    OracleMode, RetryPolicy, Scenario, SimError, Supervisor,
+    oracle_search_resumable, oracle_search_stats, parallel_map, table_checkpoint_store,
+    with_worker_budget, OracleMode, RetryPolicy, Scenario, SimError, Supervisor,
 };
 use dcs_units::Seconds;
 use dcs_workload::yahoo_trace;
@@ -39,6 +39,48 @@ fn scenario(degree: f64, minutes: f64) -> Scenario {
 }
 
 // --- Supervised call ------------------------------------------------------
+
+/// A float-heavy closure: any re-ordering or double-evaluation bug would
+/// show up in the bits.
+fn float_work(x: usize) -> f64 {
+    (0..100).fold(x as f64, |acc, i| acc + f64::from(i).sqrt() * 1e-3) + (x as f64).sin() * 1e6
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn supervised_map_clean_path_is_bit_identical() {
+    // One supervised `call` per item across a `parallel_map` sweep.
+    let inputs: Vec<usize> = (0..40).collect();
+    let plain = parallel_map(&inputs, |&x| float_work(x));
+    let sup = Supervisor::new().with_retry(RetryPolicy::default());
+    let supervised = parallel_map(&inputs, |&x| {
+        sup.call(x, || float_work(x))
+            .expect("clean run has no failures")
+    });
+    assert_eq!(bits(&plain), bits(&supervised));
+}
+
+#[test]
+fn supervised_map_under_random_chaos_is_bit_identical() {
+    let inputs: Vec<usize> = (0..30).collect();
+    let clean = parallel_map(&inputs, |&x| float_work(x));
+    for seed in 0..4_u64 {
+        let chaos = ChaosSchedule::random(seed, inputs.len());
+        assert!(!chaos.is_empty(), "seed {seed} draws some chaos");
+        let sup = Supervisor::new()
+            .with_retry(RetryPolicy::attempts(3))
+            .with_chaos(chaos);
+        let results = parallel_map(&inputs, |&x| sup.call(x, || float_work(x)));
+        let recovered: Vec<f64> = results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|e| panic!("seed {seed}: {e}")))
+            .collect();
+        assert_eq!(bits(&clean), bits(&recovered), "seed {seed}");
+    }
+}
 
 #[test]
 fn permanent_failure_names_item_and_payload() {

@@ -79,6 +79,16 @@ mod tests {
     }
 
     #[test]
+    fn lfp_drains_deeper_than_lead_acid() {
+        // Lead-acid keeps a 20% floor; LiFePO4 may be drained fully.
+        assert_eq!(Chemistry::LeadAcid.max_depth_of_discharge(), 0.80);
+        assert_eq!(
+            Chemistry::LithiumIronPhosphate.max_depth_of_discharge(),
+            1.00
+        );
+    }
+
+    #[test]
     fn display() {
         assert_eq!(Chemistry::LeadAcid.to_string(), "lead-acid");
         assert_eq!(Chemistry::LithiumIronPhosphate.to_string(), "LiFePO4");
